@@ -23,13 +23,13 @@
 use std::collections::VecDeque;
 
 use besync::fault::{FaultProfile, FaultSummary, LossLane};
+use besync::kernel::{Handler, Kernel};
 use besync::report::RunReport;
-use besync_data::{Metric, ObjectId, TruthTable};
+use besync_data::{Metric, ObjectId};
 use besync_net::Link;
 use besync_sim::rng::{self, streams};
-use besync_sim::stats::RunningStats;
-use besync_sim::{CalendarQueue, SimTime, Wave};
-use besync_workloads::{Updater, WorkloadSpec};
+use besync_sim::{SimTime, Wave};
+use besync_workloads::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -138,22 +138,20 @@ enum Estimator {
     Binary(BinaryChangeEstimator),
 }
 
-/// A running CGM scheduler over a workload.
-///
-/// Events live in a [`CalendarQueue`] on the same slot scheme the
-/// cooperative systems use, doubled because CGM has **two** independent
-/// pending events per object: slot `i` is object `i`'s next update, slot
-/// `total + i` its next poll (guarded by `poll_scheduled`, so each slot
-/// holds at most one pending event), and three singleton slots carry the
-/// re-allocation timer, the per-second tick, and the end of warm-up. The
-/// queue orders by `(time, schedule seq)` exactly like the `EventQueue`
-/// this system originally ran on, so trajectories are bit-identical —
-/// `tests/scheduler_equivalence.rs` pins the pre-port counters.
+/// A running CGM scheduler over a workload: the shared event [`Kernel`]
+/// with the cache-driven poller handling its events.
 pub struct CgmSystem {
+    kernel: Kernel,
+    poller: Poller,
+}
+
+/// The cache-side polling scheduler as a [`Handler`]. CGM has **two**
+/// independent pending events per object: its next update is the
+/// kernel's, its next poll is auxiliary slot `i` (guarded by
+/// `poll_scheduled`, so each slot holds at most one pending event); one
+/// more auxiliary slot, `total`, carries the re-allocation timer.
+struct Poller {
     cfg: CgmConfig,
-    truth: TruthTable,
-    updaters: Vec<Updater>,
-    rngs: Vec<SmallRng>,
     sched_rng: SmallRng,
     true_rates: Vec<f64>,
     freqs: Vec<f64>,
@@ -164,17 +162,7 @@ pub struct CgmSystem {
     poll_scheduled: Vec<bool>,
     link: Link<()>,
     pending: VecDeque<u32>,
-    queue: CalendarQueue,
-    /// First poll slot (`total`); slots below it are update slots.
-    poll_base: u32,
-    /// Slot id of the re-allocation event (`2 * total`).
-    realloc_slot: u32,
-    /// Slot id of the per-second tick event (`2 * total + 1`).
-    tick_slot: u32,
-    /// Slot id of the end-of-warm-up event (`2 * total + 2`).
-    warmup_slot: u32,
     polls: u64,
-    updates_processed: u64,
     /// Poll-response loss lane when a fault profile with positive loss is
     /// configured (`None` otherwise — no draws on the fault-free path).
     loss: Option<LossLane>,
@@ -185,10 +173,18 @@ impl CgmSystem {
     /// Builds a CGM run over the workload (sources in the layout are
     /// irrelevant to CGM, which sees a flat set of objects).
     pub fn new(cfg: CgmConfig, mut spec: WorkloadSpec) -> Self {
-        spec.validate().expect("invalid workload spec");
         let total = spec.total_objects();
-        let truth = TruthTable::new(cfg.metric, &spec.initial_values, spec.weights.clone());
         let budget = cfg.refresh_budget();
+        // Polls spend the whole refresh budget in steady state.
+        let mut kernel = Kernel::new(
+            cfg.metric,
+            cfg.tick,
+            cfg.warmup,
+            cfg.measure,
+            &mut spec,
+            total + 1,
+            budget,
+        );
 
         let (freqs, estimators): (Vec<f64>, Vec<Estimator>) = match cfg.variant {
             CgmVariant::IdealCacheBased => (
@@ -209,37 +205,16 @@ impl CgmSystem {
             ),
         };
 
-        let mut rngs = spec.object_rngs();
         let mut sched_rng = rng::stream_rng(cfg.sim_seed, streams::SCHEDULER);
-        let poll_base = total as u32;
-        let realloc_slot = 2 * total as u32;
-        let tick_slot = realloc_slot + 1;
-        let warmup_slot = realloc_slot + 2;
-        // Bucket width ≈ the mean gap between consecutive events: updates
-        // plus polls (the whole refresh budget in steady state) plus the
-        // once-per-second tick.
-        let event_rate =
-            spec.rates.iter().sum::<f64>() + cfg.refresh_budget() + 1.0 / cfg.tick.max(1e-6);
-        let mut queue = CalendarQueue::new(2 * total + 3, 1.0 / event_rate);
-        // Scheduling order matters: the queue breaks same-instant ties by
-        // schedule order, and this order (warm-up, tick, realloc, then
-        // update/poll per object) is the one the pre-port trajectories
-        // were recorded under.
-        queue.schedule(warmup_slot, SimTime::new(cfg.warmup));
-        queue.schedule(tick_slot, SimTime::new(cfg.tick));
         if !matches!(cfg.variant, CgmVariant::IdealCacheBased) {
-            queue.schedule(realloc_slot, SimTime::new(cfg.realloc_period));
+            kernel.schedule_aux(total as u32, SimTime::new(cfg.realloc_period));
         }
         let mut poll_scheduled = vec![false; total];
-        for obj in spec.layout.all_objects() {
-            let idx = obj.index();
-            if let Some(t0) = spec.updaters[idx].first_time(SimTime::ZERO, &mut rngs[idx]) {
-                queue.schedule(obj.0, t0);
-            }
-            if freqs[idx] > 0.0 {
+        for (idx, &f) in freqs.iter().enumerate() {
+            if f > 0.0 {
                 // Random phase so periodic refreshes don't all collide.
-                let phase = sched_rng.gen_range(0.0..1.0) / freqs[idx];
-                queue.schedule(poll_base + obj.0, SimTime::new(phase.min(cfg.horizon())));
+                let phase = sched_rng.gen_range(0.0..1.0) / f;
+                kernel.schedule_aux(idx as u32, SimTime::new(phase.min(cfg.horizon())));
                 poll_scheduled[idx] = true;
             }
         }
@@ -249,10 +224,7 @@ impl CgmSystem {
             (profile.loss_prob > 0.0).then(|| LossLane::new(cfg.sim_seed, 0, profile.loss_prob))
         });
 
-        CgmSystem {
-            truth,
-            updaters: spec.updaters,
-            rngs,
+        let poller = Poller {
             sched_rng,
             true_rates: spec.rates,
             freqs,
@@ -267,73 +239,65 @@ impl CgmSystem {
                 0.0,
             )),
             pending: VecDeque::new(),
-            queue,
-            poll_base,
-            realloc_slot,
-            tick_slot,
-            warmup_slot,
             polls: 0,
-            updates_processed: 0,
             loss,
             fault_stats: FaultSummary::default(),
             cfg,
-        }
+        };
+        CgmSystem { kernel, poller }
     }
 
     /// Runs to the horizon and reports.
     pub fn run(mut self) -> RunReport {
-        let horizon = SimTime::new(self.cfg.horizon());
-        while let Some((now, slot)) = self.queue.pop_at_or_before(horizon) {
-            if slot < self.poll_base {
-                self.on_update(now, ObjectId(slot));
-            } else if slot < self.realloc_slot {
-                self.on_poll_due(now, ObjectId(slot - self.poll_base));
-            } else if slot == self.realloc_slot {
-                self.on_realloc(now);
-            } else if slot == self.tick_slot {
-                self.on_tick(now);
-            } else {
-                debug_assert_eq!(slot, self.warmup_slot);
-                self.truth.begin_measurement(now);
-            }
-        }
+        self.kernel
+            .run_until(self.kernel.horizon(), &mut self.poller);
+        let p = self.poller;
         RunReport {
-            divergence: self.truth.report(horizon),
-            refreshes_sent: self.polls,
-            refreshes_delivered: self.polls - self.fault_stats.lost_refreshes,
-            feedback_messages: 0,
-            polls_sent: if matches!(self.cfg.variant, CgmVariant::IdealCacheBased) {
+            refreshes_sent: p.polls,
+            refreshes_delivered: p.polls - p.fault_stats.lost_refreshes,
+            polls_sent: if matches!(p.cfg.variant, CgmVariant::IdealCacheBased) {
                 0
             } else {
-                self.polls
+                p.polls
             },
-            max_cache_queue: self.pending.len(),
-            mean_queue_wait: 0.0,
-            threshold_stats: RunningStats::new(),
-            updates_processed: self.updates_processed,
-            faults: self.fault_stats,
+            max_cache_queue: p.pending.len(),
+            faults: p.fault_stats,
+            ..self.kernel.report()
+        }
+    }
+}
+
+impl Handler for Poller {
+    fn on_update(&mut self, _: &mut Kernel, now: SimTime, obj: ObjectId, _value: f64, _w: f64) {
+        self.last_update_time[obj.index()] = now;
+    }
+
+    fn on_tick(&mut self, k: &mut Kernel, now: SimTime) {
+        let cost = self.cfg.variant.cost_per_refresh();
+        while !self.pending.is_empty() && self.link.try_consume(now, cost) {
+            let obj = ObjectId(self.pending.pop_front().expect("checked non-empty"));
+            self.do_poll(k, now, obj);
+            self.schedule_next_poll(k, now, obj);
         }
     }
 
-    fn on_update(&mut self, now: SimTime, obj: ObjectId) {
-        self.updates_processed += 1;
-        let idx = obj.index();
-        let current = self.truth.truth(obj).source_value;
-        let (value, next) = self.updaters[idx].fire(now, current, &mut self.rngs[idx]);
-        self.truth.source_update(now, obj, value);
-        self.last_update_time[idx] = now;
-        if let Some(t) = next {
-            self.queue.schedule(obj.0, t);
+    fn on_aux(&mut self, k: &mut Kernel, now: SimTime, aux: u32) {
+        if (aux as usize) < self.freqs.len() {
+            self.on_poll_due(k, now, ObjectId(aux));
+        } else {
+            self.on_realloc(k, now);
         }
     }
+}
 
-    fn on_poll_due(&mut self, now: SimTime, obj: ObjectId) {
+impl Poller {
+    fn on_poll_due(&mut self, k: &mut Kernel, now: SimTime, obj: ObjectId) {
         let idx = obj.index();
         self.poll_scheduled[idx] = false;
         let cost = self.cfg.variant.cost_per_refresh();
         if self.link.try_consume(now, cost) {
-            self.do_poll(now, obj);
-            self.schedule_next_poll(now, obj);
+            self.do_poll(k, now, obj);
+            self.schedule_next_poll(k, now, obj);
         } else {
             // Not enough bandwidth right now: wait in FIFO order for the
             // tick drain (a poll "queued in the network").
@@ -341,28 +305,19 @@ impl CgmSystem {
         }
     }
 
-    fn on_tick(&mut self, now: SimTime) {
-        let cost = self.cfg.variant.cost_per_refresh();
-        while !self.pending.is_empty() && self.link.try_consume(now, cost) {
-            let obj = ObjectId(self.pending.pop_front().expect("checked non-empty"));
-            self.do_poll(now, obj);
-            self.schedule_next_poll(now, obj);
-        }
-        self.queue.schedule(self.tick_slot, now + self.cfg.tick);
-    }
-
-    fn do_poll(&mut self, now: SimTime, obj: ObjectId) {
+    fn do_poll(&mut self, k: &mut Kernel, now: SimTime, obj: ObjectId) {
         // A lost poll response burns the round trip but teaches the cache
         // nothing: no estimator observation, no refresh, and the poll
         // bookkeeping stays put so the next response covers the gap.
+        self.polls += 1;
         if self.loss.as_mut().is_some_and(|l| l.draw()) {
             self.fault_stats.lost_refreshes += 1;
-            self.polls += 1;
             return;
         }
         let idx = obj.index();
         let interval = (now - self.last_poll_time[idx]).max(1e-9);
-        let changed = self.truth.truth(obj).source_updates > self.last_poll_updates[idx];
+        let source_updates = k.truth.truth(obj).source_updates;
+        let changed = source_updates > self.last_poll_updates[idx];
         match &mut self.estimators[idx] {
             Estimator::Oracle => {}
             Estimator::LastModified(e) => {
@@ -388,22 +343,21 @@ impl CgmSystem {
         }
         // The poll response carries the current value: a perfectly fresh
         // refresh (propagation neglected, as in the paper).
-        self.truth.apply_fresh_refresh(now, obj);
+        k.truth.apply_fresh_refresh(now, obj);
         self.last_poll_time[idx] = now;
-        self.last_poll_updates[idx] = self.truth.truth(obj).source_updates;
-        self.polls += 1;
+        self.last_poll_updates[idx] = source_updates;
     }
 
-    fn schedule_next_poll(&mut self, now: SimTime, obj: ObjectId) {
+    fn schedule_next_poll(&mut self, k: &mut Kernel, now: SimTime, obj: ObjectId) {
         let idx = obj.index();
         let f = self.freqs[idx];
         if f > 0.0 && !self.poll_scheduled[idx] {
-            self.queue.schedule(self.poll_base + obj.0, now + 1.0 / f);
+            k.schedule_aux(obj.0, now + 1.0 / f);
             self.poll_scheduled[idx] = true;
         }
     }
 
-    fn on_realloc(&mut self, now: SimTime) {
+    fn on_realloc(&mut self, k: &mut Kernel, now: SimTime) {
         let budget = self.cfg.refresh_budget();
         let n = self.freqs.len();
         let fallback = budget / n as f64;
@@ -441,12 +395,11 @@ impl CgmSystem {
             if self.freqs[i] > 0.0 && !self.poll_scheduled[i] && !self.pending.contains(&(i as u32))
             {
                 let phase = self.sched_rng.gen_range(0.0..1.0) / self.freqs[i];
-                self.queue.schedule(self.poll_base + i as u32, now + phase);
+                k.schedule_aux(i as u32, now + phase);
                 self.poll_scheduled[i] = true;
             }
         }
-        self.queue
-            .schedule(self.realloc_slot, now + self.cfg.realloc_period);
+        k.schedule_aux(n as u32, now + self.cfg.realloc_period);
     }
 }
 

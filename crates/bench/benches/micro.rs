@@ -1,8 +1,8 @@
-//! Micro-benches of the hot data structures: priority tracking, the lazy
-//! heap, link token accounting, threshold updates, the CGM allocation
-//! solver, and the change-rate estimators.
+//! Micro-benches of the hot data structures: priority tracking, the
+//! indexed priority heap, link token accounting, threshold updates, the
+//! CGM allocation solver, and the change-rate estimators.
 
-use besync::heap::LazyMaxHeap;
+use besync::heap::IndexedMaxHeap;
 use besync::priority::AreaTracker;
 use besync::threshold::{ThresholdParams, ThresholdState};
 use besync_baselines::estimators::{
@@ -26,13 +26,13 @@ fn bench_area_tracker(c: &mut Criterion) {
 }
 
 fn bench_heap(c: &mut Criterion) {
-    c.bench_function("lazy_heap_push_pop_1k", |b| {
+    c.bench_function("indexed_heap_push_pop_1k", |b| {
         b.iter(|| {
-            let mut h = LazyMaxHeap::new(1000);
+            let mut h = IndexedMaxHeap::new(1000);
             for i in 0..1000u32 {
                 h.push(i, (i as f64 * 0.37) % 11.0);
             }
-            // Revise a quarter of them, then drain.
+            // Revise a quarter of them in place, then drain.
             for i in (0..1000u32).step_by(4) {
                 h.push(i, (i as f64 * 0.11) % 7.0);
             }

@@ -4,7 +4,7 @@
 //! end — the [`CoopSystem`] hot path plus the figure-regeneration
 //! schedulers — reports wall-clock time and simulation events per second
 //! for each, and optionally writes a machine-readable JSON trajectory
-//! point (e.g. `BENCH_pr2.json` at the repo root) so successive PRs can
+//! point (e.g. `BENCH_pr10.json` at the repo root) so successive PRs can
 //! be compared with the *same* binary run on both trees.
 //!
 //! ```text
@@ -214,8 +214,8 @@ fn cgm_alloc_ab() -> (usize, f64, f64) {
 /// mix of the simulator's hot arithmetic (`ln`, `exp`, Welford-style
 /// accumulation over a splitmix64 stream). Recorded in the bench JSON
 /// as `calibration_seconds` so trajectory comparisons can tell a slower
-/// *container* from a slower *tree* — the BENCH_pr6.json wall-clock
-/// anomaly was exactly that ambiguity. Minimum of three reps: the
+/// *container* from a slower *tree* — a wall-clock anomaly in an early
+/// trajectory point was exactly that ambiguity. Minimum of three reps: the
 /// calibration must track the machine's speed, not its scheduling
 /// noise.
 fn calibration_seconds() -> f64 {
@@ -655,7 +655,7 @@ usage: besync-bench [--out PATH] [--compare PATH] [--tolerance F]
                     [--list] [--fault-sweep]
        besync-bench verify [--accept bits|stats] ...   (see `verify --help`)
 
-  --out PATH       write results as JSON (e.g. BENCH_pr2.json); never run this
+  --out PATH       write results as JSON (e.g. BENCH_prN.json); never run this
                    against a checked-in baseline path in CI — write elsewhere
                    and upload as an artifact
   --compare PATH   compare against a previous --out file: events/sec deltas

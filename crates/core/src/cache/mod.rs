@@ -37,7 +37,6 @@ pub struct CacheRuntime {
     rng: SmallRng,
     /// Feedback messages sent over the run.
     pub feedback_sent: u64,
-    scratch: Vec<u32>,
     /// Reusable index pool for the Random targeting's partial
     /// Fisher–Yates (zero steady-state allocation).
     fy_scratch: Vec<u32>,
@@ -58,7 +57,6 @@ impl CacheRuntime {
             rr_cursor: 0,
             rng: rng::stream_rng(seed, streams::SCHEDULER),
             feedback_sent: 0,
-            scratch: Vec::new(),
             fy_scratch: Vec::new(),
         }
     }
@@ -129,20 +127,17 @@ impl CacheRuntime {
             }
         }
     }
-
-    /// Like [`CacheRuntime::select_targets_into`], returning a slice into
-    /// an internal buffer (valid until the next call).
-    pub fn select_targets(&mut self, k: usize) -> &[u32] {
-        let mut out = std::mem::take(&mut self.scratch);
-        self.select_targets_into(k, &mut out);
-        self.scratch = out;
-        &self.scratch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn targets(c: &mut CacheRuntime, k: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        c.select_targets_into(k, &mut out);
+        out
+    }
 
     #[test]
     fn highest_threshold_targets_largest() {
@@ -151,29 +146,29 @@ mod tests {
         c.observe_threshold(SourceId(1), 1.0);
         c.observe_threshold(SourceId(2), 9.0);
         c.observe_threshold(SourceId(3), 3.0);
-        assert_eq!(c.select_targets(2), &[2, 0]);
-        assert_eq!(c.select_targets(4), &[2, 0, 3, 1]);
+        assert_eq!(targets(&mut c, 2), &[2, 0]);
+        assert_eq!(targets(&mut c, 4), &[2, 0, 3, 1]);
     }
 
     #[test]
     fn k_larger_than_m_selects_all() {
         let mut c = CacheRuntime::new(3, 1.0, FeedbackTargeting::HighestThreshold, 0);
-        assert_eq!(c.select_targets(100).len(), 3);
+        assert_eq!(targets(&mut c, 100).len(), 3);
     }
 
     #[test]
     fn round_robin_cycles() {
         let mut c = CacheRuntime::new(3, 1.0, FeedbackTargeting::RoundRobin, 0);
-        assert_eq!(c.select_targets(2), &[0, 1]);
-        assert_eq!(c.select_targets(2), &[2, 0]);
-        assert_eq!(c.select_targets(2), &[1, 2]);
+        assert_eq!(targets(&mut c, 2), &[0, 1]);
+        assert_eq!(targets(&mut c, 2), &[2, 0]);
+        assert_eq!(targets(&mut c, 2), &[1, 2]);
     }
 
     #[test]
     fn random_targets_are_distinct() {
         let mut c = CacheRuntime::new(10, 1.0, FeedbackTargeting::Random, 7);
         for _ in 0..50 {
-            let ts = c.select_targets(5).to_vec();
+            let ts = targets(&mut c, 5);
             let mut dedup = ts.clone();
             dedup.sort_unstable();
             dedup.dedup();
@@ -185,12 +180,12 @@ mod tests {
     fn ties_break_deterministically() {
         let mut a = CacheRuntime::new(4, 1.0, FeedbackTargeting::HighestThreshold, 0);
         let mut b = CacheRuntime::new(4, 1.0, FeedbackTargeting::HighestThreshold, 99);
-        assert_eq!(a.select_targets(2), b.select_targets(2));
+        assert_eq!(targets(&mut a, 2), targets(&mut b, 2));
     }
 
     #[test]
     fn zero_k() {
         let mut c = CacheRuntime::new(3, 1.0, FeedbackTargeting::HighestThreshold, 0);
-        assert!(c.select_targets(0).is_empty());
+        assert!(targets(&mut c, 0).is_empty());
     }
 }

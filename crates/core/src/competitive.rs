@@ -14,28 +14,25 @@
 //!   own-choice refreshes per cache-priority refresh it performs, so
 //!   sources that serve the cache well get proportionally more say.
 //!
-//! [`CompetitiveSystem`] extends the §5 machinery with a second,
-//! source-weighted priority view per object; both objectives are
-//! accounted against the same ground truth, so the Ψ trade-off is
-//! directly measurable.
+//! [`CompetitiveSystem`] is the §5 [`Protocol`] with [`Psi`] as its
+//! [`Extension`]: a second, source-weighted priority view per object and
+//! the sends that spend the sources' share. Everything else — threshold
+//! sends, feedback, delivery, every fault class — is the shared protocol,
+//! so at Ψ = 0 a run equals [`crate::CoopSystem`] bit for bit. Both
+//! objectives are accounted against the same update stream, so the Ψ
+//! trade-off is directly measurable.
 
-use besync_data::ids::ObjectLayout;
-use besync_data::{ObjectId, SourceId, TruthTable, WeightProfile, WeightSet};
-use besync_net::Link;
-use besync_sim::stats::RunningStats;
-use besync_sim::{CalendarQueue, SimTime};
-use besync_workloads::{Updater, WorkloadSpec};
-use rand::rngs::SmallRng;
+use besync_data::{TruthTable, WeightProfile, WeightSet};
+use besync_sim::SimTime;
+use besync_workloads::WorkloadSpec;
 
 use crate::cache::partition::{BandwidthPartition, PiggybackCredit, SharePolicy};
-use crate::cache::CacheRuntime;
 use crate::config::SystemConfig;
-use crate::fault::{FaultSummary, LossLane, RecoveryPolicy};
 use crate::heap::IndexedMaxHeap;
+use crate::kernel::Kernel;
 use crate::priority::PolicyKind;
 use crate::report::RunReport;
-use crate::source::SourceRuntime;
-use crate::system::RefreshMsg;
+use crate::system::{Extension, Protocol, RefreshMsg, System};
 
 /// Configuration of a §7 competitive run.
 #[derive(Debug, Clone)]
@@ -67,25 +64,12 @@ pub struct CompetitiveReport {
     pub feedback_messages: u64,
 }
 
-/// The §7 competitive synchronization system.
-///
-/// Runs on the same fast scheduler stack as every other system since the
-/// PR 2 unification: events live in a [`CalendarQueue`] (object `i`'s
-/// single pending update in slot `i`, plus the tick and end-of-warm-up
-/// singletons), and each source's own-priority view in an
-/// [`IndexedMaxHeap`]. Both order exactly like the `EventQueue` +
-/// `LazyMaxHeap` pair this system originally ran on, so trajectories are
-/// bit-identical — `tests/scheduler_equivalence.rs` pins the pre-port
-/// counters.
-pub struct CompetitiveSystem {
-    cfg: SystemConfig,
+/// What §7 adds to the §5 protocol: the sources' side of the Ψ split.
+pub struct Psi {
     partition: BandwidthPartition,
-    layout: ObjectLayout,
-    /// Ground truth weighted by the cache's priorities.
-    cache_truth: TruthTable,
-    /// Same events, weighted by the sources' priorities.
+    /// Same events as the kernel's truth (which carries the cache's
+    /// weights), weighted by the sources' priorities.
     source_truth: TruthTable,
-    sources: Vec<SourceRuntime>,
     /// Per-source own-priority heap (source weights).
     own_heaps: Vec<IndexedMaxHeap>,
     /// The sources' own priorities' weights, dense-constant fast path
@@ -97,29 +81,11 @@ pub struct CompetitiveSystem {
     own_credit: Vec<f64>,
     /// Option (3): piggyback entitlements.
     piggyback: Vec<PiggybackCredit>,
-    cache_link: Link<RefreshMsg>,
-    cache: CacheRuntime,
-    queue: CalendarQueue,
-    /// Slot id of the per-second tick event (`total_objects`).
-    tick_slot: u32,
-    /// Slot id of the end-of-warm-up event (`total_objects + 1`).
-    warmup_slot: u32,
-    updaters: Vec<Updater>,
-    rngs: Vec<SmallRng>,
-    scratch: Vec<RefreshMsg>,
-    threshold_refreshes: u64,
     source_refreshes: u64,
-    refreshes_delivered: u64,
-    updates_processed: u64,
-    deliveries_this_tick: u64,
-    delivery_rate_ewma: f64,
-    /// Counter-hashed per-delivery loss decisions, present when the base
-    /// config carries a fault profile. The §7 harness supports the loss
-    /// class only (no outage/crash episodes, no retransmit queue):
-    /// losses degrade to stale and the accounting reports them honestly.
-    loss: Option<LossLane>,
-    fault_stats: FaultSummary,
 }
+
+/// The §7 competitive synchronization system.
+pub type CompetitiveSystem = System<Psi>;
 
 impl CompetitiveSystem {
     /// Builds the competitive system.
@@ -128,151 +94,61 @@ impl CompetitiveSystem {
     ///
     /// Panics if the base policy is not [`PolicyKind::Area`], the spec is
     /// inconsistent, or `source_weights` doesn't cover every object.
-    pub fn new(cfg: CompetitiveConfig, mut spec: WorkloadSpec) -> Self {
+    pub fn new(cfg: CompetitiveConfig, spec: WorkloadSpec) -> Self {
         assert!(
             matches!(cfg.base.policy, PolicyKind::Area),
             "competitive runs require the Area policy"
         );
-        spec.validate().expect("invalid workload spec");
         assert_eq!(
             cfg.source_weights.len(),
             spec.total_objects(),
             "one source weight per object"
         );
         let layout = spec.layout;
-        let m = layout.sources();
-        let base = cfg.base;
-        let cache_truth = TruthTable::new(base.metric, &spec.initial_values, spec.weights.clone());
-        let source_truth = TruthTable::new(
-            base.metric,
-            &spec.initial_values,
-            cfg.source_weights.clone(),
-        );
-        let tparams = base.threshold_params(m);
-
-        // As in `CoopSystem::new`: sum the event rate first, then hand
-        // the spec's weight/rate pools to the sources back-to-front via
-        // `split_off` instead of copying slices — one less full-size
-        // transient copy of each pool at construction peak.
-        let event_rate = spec.rates.iter().sum::<f64>() + 1.0 / base.tick.max(1e-6);
-        let mut weight_pool = std::mem::take(&mut spec.weights);
-        let mut rate_pool = std::mem::take(&mut spec.rates);
-        let mut sources = Vec::with_capacity(m as usize);
-        let mut own_heaps = Vec::with_capacity(m as usize);
-        for sid in (0..m).rev() {
-            let base_idx = sid * layout.objects_per_source();
-            let lo = base_idx as usize;
-            let hi = lo + layout.objects_per_source() as usize;
-            sources.push(SourceRuntime::new(
-                SourceId(sid),
-                base_idx,
-                &spec.initial_values[lo..hi],
-                weight_pool.split_off(lo),
-                rate_pool.split_off(lo),
-                Link::new(base.source_wave(sid)),
-                tparams,
-                base.metric,
-                base.policy,
-                base.estimator,
-                None,
-                SimTime::ZERO,
-            ));
-            own_heaps.push(IndexedMaxHeap::new(hi - lo));
-        }
-        sources.reverse();
-
-        let objects_per_source = vec![layout.objects_per_source(); m as usize];
+        let m = layout.sources() as usize;
         let allocations = match cfg.partition.policy {
-            SharePolicy::ProportionalToValue => vec![0.0; m as usize],
-            _ => cfg
-                .partition
-                .allocations(base.cache_bandwidth_mean, &objects_per_source, None),
+            SharePolicy::ProportionalToValue => vec![0.0; m],
+            _ => cfg.partition.allocations(
+                cfg.base.cache_bandwidth_mean,
+                &vec![layout.objects_per_source(); m],
+                None,
+            ),
         };
-
-        let mut rngs = spec.object_rngs();
-        let total = spec.total_objects();
-        let tick_slot = total as u32;
-        let warmup_slot = total as u32 + 1;
-        // Bucket width ≈ the mean gap between consecutive events, as in
-        // the other systems; scheduling order (warm-up, tick, objects)
-        // fixes the same-instant tie order the trajectories were
-        // recorded under.
-        let mut queue = CalendarQueue::new(total + 2, 1.0 / event_rate);
-        queue.schedule(warmup_slot, SimTime::new(base.warmup));
-        queue.schedule(tick_slot, SimTime::new(base.tick));
-        for obj in layout.all_objects() {
-            let idx = obj.index();
-            if let Some(t0) = spec.updaters[idx].first_time(SimTime::ZERO, &mut rngs[idx]) {
-                queue.schedule(obj.0, t0);
-            }
-        }
-
-        let cache_link = Link::new(base.cache_wave());
-        let cache = CacheRuntime::new(
-            m,
-            base.initial_threshold,
-            base.feedback_targeting,
-            base.sim_seed,
-        );
-
-        // The §7 harness supports loss faults only: outage and crash
-        // episodes would need the CoopSystem's extra queue slots, and a
-        // retransmit queue doesn't exist here, so reject profiles this
-        // harness would silently mis-simulate. With `fault: None` no
-        // lane exists and the trajectory is bit-identical to before.
-        let loss = base.fault.map(|profile| {
-            profile.validate().expect("invalid fault profile");
-            assert!(
-                profile.outage_rate == 0.0 && profile.crash_rate == 0.0,
-                "competitive harness supports loss faults only"
-            );
-            assert!(
-                matches!(profile.recovery, RecoveryPolicy::DegradeStale),
-                "competitive harness supports degrade-to-stale loss recovery only"
-            );
-            LossLane::new(base.sim_seed, 0, profile.loss_prob)
-        });
-
-        CompetitiveSystem {
-            cfg: base,
+        let psi = Psi {
             partition: cfg.partition,
-            layout,
-            cache_truth,
-            source_truth,
-            sources,
-            own_heaps,
+            source_truth: TruthTable::new(
+                cfg.base.metric,
+                &spec.initial_values,
+                cfg.source_weights.clone(),
+            ),
+            own_heaps: vec![IndexedMaxHeap::new(layout.objects_per_source() as usize); m],
             source_weights: WeightSet::new(cfg.source_weights),
             allocations,
-            own_credit: vec![0.0; m as usize],
-            piggyback: vec![PiggybackCredit::default(); m as usize],
-            cache_link,
-            cache,
-            queue,
-            tick_slot,
-            warmup_slot,
-            updaters: spec.updaters,
-            rngs,
-            scratch: Vec::new(),
-            threshold_refreshes: 0,
+            own_credit: vec![0.0; m],
+            piggyback: vec![PiggybackCredit::default(); m],
             source_refreshes: 0,
-            refreshes_delivered: 0,
-            updates_processed: 0,
-            deliveries_this_tick: 0,
-            delivery_rate_ewma: 0.0,
-            loss,
-            fault_stats: FaultSummary::default(),
-        }
+        };
+        Self::with_extension(cfg.base, spec, psi)
+    }
+
+    /// Processes every event at or before `t` (non-generic for the reason
+    /// given at [`crate::CoopSystem::run_until`]).
+    pub fn run_until(&mut self, t: SimTime) {
+        self.kernel.run_until(t, &mut self.proto);
     }
 
     /// Runs to the horizon and reports both objectives.
     pub fn run(mut self) -> CompetitiveReport {
-        let horizon = self.drive();
+        let horizon = self.horizon();
+        self.run_until(horizon);
+        let psi = &self.proto.ext;
+        let sent: u64 = self.proto.sources.iter().map(|s| s.sends).sum();
         CompetitiveReport {
-            cache_objective: self.cache_truth.report(horizon).mean_weighted,
-            source_objective: self.source_truth.report(horizon).mean_weighted,
-            threshold_refreshes: self.threshold_refreshes,
-            source_refreshes: self.source_refreshes,
-            feedback_messages: self.cache.feedback_sent,
+            cache_objective: self.kernel.truth.report(horizon).mean_weighted,
+            source_objective: psi.source_truth.report(horizon).mean_weighted,
+            threshold_refreshes: sent - psi.source_refreshes,
+            source_refreshes: psi.source_refreshes,
+            feedback_messages: self.proto.cache.feedback_sent,
         }
     }
 
@@ -282,113 +158,82 @@ impl CompetitiveSystem {
     /// refreshes are the threshold + source-entitlement pools combined.
     /// Harnesses that need the source-side objective use [`Self::run`].
     pub fn run_report(mut self) -> RunReport {
-        let horizon = self.drive();
-        let mut threshold_stats = RunningStats::new();
-        for s in &self.sources {
-            threshold_stats.push(s.threshold.value());
-        }
-        let link_stats = self.cache_link.stats();
-        RunReport {
-            divergence: self.cache_truth.report(horizon),
-            refreshes_sent: self.threshold_refreshes + self.source_refreshes,
-            refreshes_delivered: self.refreshes_delivered,
-            feedback_messages: self.cache.feedback_sent,
-            polls_sent: 0,
-            max_cache_queue: link_stats.max_queue,
-            mean_queue_wait: link_stats.total_wait / (link_stats.delivered.max(1) as f64),
-            threshold_stats,
-            updates_processed: self.updates_processed,
-            faults: self.fault_stats,
+        self.run_until(self.horizon());
+        self.into_report()
+    }
+}
+
+impl Extension for Psi {
+    fn after_update(p: &mut Protocol<Self>, now: SimTime, sid: usize, local: u32, value: f64) {
+        let obj = p.sources[sid].global(local);
+        p.ext.source_truth.source_update(now, obj, value);
+        if !p.source_down(sid) {
+            let own_p = p.own_priority(now, sid, local);
+            p.ext.own_heaps[sid].push(local, own_p);
         }
     }
 
-    /// The shared event loop; returns the horizon it ran to.
-    fn drive(&mut self) -> SimTime {
-        let horizon = SimTime::new(self.cfg.horizon());
-        while let Some((now, slot)) = self.queue.pop_at_or_before(horizon) {
-            if slot < self.tick_slot {
-                self.on_update(now, ObjectId(slot));
-            } else if slot == self.tick_slot {
-                self.on_tick(now);
-            } else {
-                debug_assert_eq!(slot, self.warmup_slot);
-                self.cache_truth.begin_measurement(now);
-                self.source_truth.begin_measurement(now);
+    /// Source-allocation sends (options 1/2) come first: they are the
+    /// sources' entitlement regardless of the threshold pool's state.
+    fn before_tick_sends(p: &mut Protocol<Self>, k: &mut Kernel, now: SimTime) {
+        for sid in 0..p.sources.len() {
+            let accrued = p.ext.own_credit[sid] + p.ext.allocations[sid] * p.cfg.tick;
+            p.ext.own_credit[sid] = accrued.min(2.0);
+            while p.ext.own_credit[sid] >= 1.0 && p.send_own_top(k, now, sid) {
+                p.ext.own_credit[sid] -= 1.0;
             }
         }
-        horizon
     }
 
+    /// Option (3): each cache-priority refresh earns piggyback credit,
+    /// spent immediately on own-priority sends.
+    fn after_threshold_send(
+        p: &mut Protocol<Self>,
+        k: &mut Kernel,
+        now: SimTime,
+        sid: usize,
+        local: u32,
+    ) {
+        p.ext.own_heaps[sid].invalidate(local);
+        if matches!(p.ext.partition.policy, SharePolicy::ProportionalToValue) {
+            let ratio = p.ext.partition.piggyback_ratio();
+            p.ext.piggyback[sid].earn(ratio);
+            while p.ext.piggyback[sid].try_spend() && p.send_own_top(k, now, sid) {}
+        }
+    }
+
+    fn after_refresh(&mut self, now: SimTime, msg: &RefreshMsg) {
+        self.source_truth
+            .apply_refresh(now, msg.obj, msg.snapshot.value, msg.snapshot.updates);
+    }
+
+    fn at_warmup(&mut self, now: SimTime) {
+        self.source_truth.begin_measurement(now);
+    }
+
+    /// The crashed agent's own-priority quotes go with its §5 heap.
+    fn at_crash(&mut self, sid: usize) {
+        self.own_heaps[sid].rebuild(std::iter::empty());
+    }
+}
+
+impl Protocol<Psi> {
     fn own_priority(&self, now: SimTime, sid: usize, local: u32) -> f64 {
         let raw = self.sources[sid].raw_area_priority(now, local);
         let obj = self.sources[sid].global(local);
-        raw * self.source_weights.weight_at(obj.index(), now)
+        raw * self.ext.source_weights.weight_at(obj.index(), now)
     }
 
-    fn on_update(&mut self, now: SimTime, obj: ObjectId) {
-        let idx = obj.index();
-        let sid = self.layout.source_of(obj).index();
-        let local = self.sources[sid].local(obj);
-        let current = self.sources[sid].state(local).value;
-        self.updates_processed += 1;
-        let (value, next) = self.updaters[idx].fire(now, current, &mut self.rngs[idx]);
-        self.cache_truth.source_update(now, obj, value);
-        self.source_truth.source_update(now, obj, value);
-        self.sources[sid].record_update(now, local, value);
-        let own_p = self.own_priority(now, sid, local);
-        self.own_heaps[sid].push(local, own_p);
-        self.attempt_threshold_sends(now, sid);
-        if let Some(t) = next {
-            self.queue.schedule(obj.0, t);
+    /// Sends the source's own-priority top object, if the source is up
+    /// and has one with positive priority and uplink credit. Returns
+    /// whether a send happened.
+    fn send_own_top(&mut self, k: &mut Kernel, now: SimTime, sid: usize) -> bool {
+        if self.source_down(sid) {
+            return false;
         }
-    }
-
-    fn on_tick(&mut self, now: SimTime) {
-        // Deliver queued refreshes.
-        let mut msgs = std::mem::take(&mut self.scratch);
-        msgs.clear();
-        self.cache_link.service(now, &mut msgs);
-        for msg in &msgs {
-            self.deliver(now, *msg);
-        }
-        self.scratch = msgs;
-
-        // Source-allocation sends (options 1/2) come first: they are the
-        // sources' entitlement regardless of the threshold pool's state.
-        for sid in 0..self.sources.len() {
-            self.own_credit[sid] =
-                (self.own_credit[sid] + self.allocations[sid] * self.cfg.tick).min(2.0);
-            while self.own_credit[sid] >= 1.0 {
-                if !self.send_own_top(now, sid) {
-                    break;
-                }
-                self.own_credit[sid] -= 1.0;
-            }
-        }
-
-        // Threshold-pool sends under the cache's priority.
-        for sid in 0..self.sources.len() {
-            self.attempt_threshold_sends(now, sid);
-        }
-
-        // Positive feedback from genuine surplus, as in the base
-        // protocol (utilization reserve included).
-        self.delivery_rate_ewma =
-            0.8 * self.delivery_rate_ewma + 0.2 * self.deliveries_this_tick as f64;
-        self.deliveries_this_tick = 0;
-        self.send_feedback(now);
-
-        self.queue.schedule(self.tick_slot, now + self.cfg.tick);
-    }
-
-    /// Sends the source's own-priority top object, if it has one with
-    /// positive priority and uplink credit. Returns whether a send
-    /// happened.
-    fn send_own_top(&mut self, now: SimTime, sid: usize) -> bool {
         loop {
-            let (quoted, local) = match self.own_heaps[sid].peek_valid() {
-                Some(c) => c,
-                None => return false,
+            let Some((quoted, local)) = self.ext.own_heaps[sid].peek_valid() else {
+                return false;
             };
             // Re-derive with the current weight; quotes are lazy.
             let p = self.own_priority(now, sid, local);
@@ -397,128 +242,25 @@ impl CompetitiveSystem {
             }
             if p <= 0.0 {
                 // Stale quote; refresh it and retry.
-                self.own_heaps[sid].push(local, p);
+                self.ext.own_heaps[sid].push(local, p);
                 continue;
             }
             if !self.sources[sid].uplink.try_consume(now, 1.0) {
                 return false;
             }
             let snapshot = self.sources[sid].mark_sent_unthrottled(now, local);
-            self.own_heaps[sid].invalidate(local);
-            let msg = RefreshMsg {
-                obj: self.sources[sid].global(local),
-                src: SourceId(sid as u32),
-                snapshot,
-                threshold: self.sources[sid].threshold.value(),
-            };
-            self.source_refreshes += 1;
-            if let Some(delivered) = self.cache_link.offer(now, msg) {
-                self.deliver(now, delivered);
-            }
+            self.ext.own_heaps[sid].invalidate(local);
+            self.ext.source_refreshes += 1;
+            self.offer(k, now, sid, local, snapshot);
             return true;
         }
-    }
-
-    fn attempt_threshold_sends(&mut self, now: SimTime, sid: usize) {
-        loop {
-            let (priority, local) = match self.sources[sid].candidate() {
-                Some(c) => c,
-                None => {
-                    self.sources[sid].saturated = false;
-                    return;
-                }
-            };
-            if priority <= self.sources[sid].threshold.value() {
-                self.sources[sid].saturated = false;
-                return;
-            }
-            if !self.sources[sid].uplink.try_consume(now, 1.0) {
-                self.sources[sid].saturated = true;
-                return;
-            }
-            let snapshot = self.sources[sid].mark_sent(now, local);
-            self.own_heaps[sid].invalidate(local);
-            let msg = RefreshMsg {
-                obj: self.sources[sid].global(local),
-                src: SourceId(sid as u32),
-                snapshot,
-                threshold: self.sources[sid].threshold.value(),
-            };
-            self.threshold_refreshes += 1;
-            if let Some(delivered) = self.cache_link.offer(now, msg) {
-                self.deliver(now, delivered);
-            }
-            // Option (3): each cache-priority refresh earns piggyback
-            // credit, spent immediately on own-priority sends.
-            if matches!(self.partition.policy, SharePolicy::ProportionalToValue) {
-                self.piggyback[sid].earn(self.partition.piggyback_ratio());
-                while self.piggyback[sid].try_spend() {
-                    if !self.send_own_top(now, sid) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    fn send_feedback(&mut self, now: SimTime) {
-        if self.cache_link.has_backlog() {
-            return;
-        }
-        let surplus = (self.cache_link.credit(now) - self.delivery_rate_ewma).floor();
-        if surplus < 1.0 {
-            return;
-        }
-        let k = (surplus as usize).min(self.sources.len());
-        if k == 0 {
-            return;
-        }
-        let targets: Vec<u32> = self.cache.select_targets(k).to_vec();
-        for sid in targets {
-            if !self.cache_link.try_consume(now, 1.0) {
-                break;
-            }
-            self.cache.feedback_sent += 1;
-            let sid = sid as usize;
-            let saturated = self.sources[sid].saturated;
-            self.sources[sid].threshold.on_feedback(now, saturated);
-            self.attempt_threshold_sends(now, sid);
-        }
-    }
-
-    fn deliver(&mut self, now: SimTime, msg: RefreshMsg) {
-        if let Some(lane) = &mut self.loss {
-            if lane.draw() {
-                // Degrade-to-stale: the send spent its bandwidth, the
-                // cache silently keeps serving the old value.
-                self.fault_stats.lost_refreshes += 1;
-                return;
-            }
-        }
-        // Recency guard, mirroring `CoopSystem::deliver`. Without a
-        // retransmit queue deliveries stay FIFO with strictly increasing
-        // update counts per object, so this cannot fire today; it is the
-        // invariant the stale-overwrite bugfix established, kept uniform
-        // across harnesses.
-        if msg.snapshot.updates <= self.cache_truth.truth(msg.obj).cached_updates {
-            self.fault_stats.stale_drops += 1;
-            self.refreshes_delivered += 1;
-            self.deliveries_this_tick += 1;
-            return;
-        }
-        self.cache_truth
-            .apply_refresh(now, msg.obj, msg.snapshot.value, msg.snapshot.updates);
-        self.source_truth
-            .apply_refresh(now, msg.obj, msg.snapshot.value, msg.snapshot.updates);
-        self.cache.observe_threshold(msg.src, msg.threshold);
-        self.refreshes_delivered += 1;
-        self.deliveries_this_tick += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultProfile, RecoveryPolicy};
     use besync_data::Metric;
     use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
 
@@ -638,28 +380,13 @@ mod tests {
 
     #[test]
     fn loss_degrades_the_competitive_objectives_and_is_accounted() {
-        use crate::fault::FaultProfile;
-        let build = |fault: Option<FaultProfile>| {
-            let (spec, source_weights) = conflicted();
-            CompetitiveSystem::new(
-                CompetitiveConfig {
-                    base: SystemConfig {
-                        fault,
-                        ..base_cfg()
-                    },
-                    source_weights,
-                    partition: BandwidthPartition::new(0.4, SharePolicy::ProportionalToValue),
-                },
-                spec,
-            )
-        };
-        let clean = build(None).run_report();
+        let lossy_run = |fault| build(fault, 0.4, SharePolicy::ProportionalToValue).run_report();
+        let clean = lossy_run(None);
         assert!(!clean.faults.any());
-        let lossy = build(Some(FaultProfile {
+        let lossy = lossy_run(Some(FaultProfile {
             loss_prob: 0.3,
             ..FaultProfile::default()
-        }))
-        .run_report();
+        }));
         assert!(lossy.faults.lost_refreshes > 0);
         assert_eq!(lossy.faults.retransmits, 0);
         assert!(
@@ -677,7 +404,7 @@ mod tests {
         );
         // A zero-intensity profile must match `None` exactly: the lane
         // draws change no delivery outcome at prob 0.
-        let gated = build(Some(FaultProfile::default())).run_report();
+        let gated = lossy_run(Some(FaultProfile::default()));
         assert_eq!(
             clean.mean_divergence().to_bits(),
             gated.mean_divergence().to_bits()
@@ -686,26 +413,117 @@ mod tests {
         assert!(!gated.faults.any());
     }
 
-    #[test]
-    #[should_panic(expected = "loss faults only")]
-    fn competitive_rejects_outage_profiles() {
-        use crate::fault::FaultProfile;
+    fn build(fault: Option<FaultProfile>, psi: f64, policy: SharePolicy) -> CompetitiveSystem {
         let (spec, source_weights) = conflicted();
-        let _ = CompetitiveSystem::new(
+        CompetitiveSystem::new(
             CompetitiveConfig {
                 base: SystemConfig {
-                    fault: Some(FaultProfile {
-                        outage_rate: 0.1,
-                        outage_duration: 5.0,
-                        ..FaultProfile::default()
-                    }),
+                    fault,
                     ..base_cfg()
                 },
                 source_weights,
-                partition: BandwidthPartition::new(0.4, SharePolicy::ProportionalToValue),
+                partition: BandwidthPartition::new(psi, policy),
             },
             spec,
-        );
+        )
+    }
+
+    /// Every `RunReport` field, floats by bit pattern.
+    fn bits(r: &RunReport) -> Vec<u64> {
+        let (d, t, f) = (&r.divergence, r.threshold_stats.to_raw(), &r.faults);
+        let floats = [
+            d.total_unweighted,
+            d.total_weighted,
+            d.mean_unweighted,
+            d.mean_weighted,
+            d.max_unweighted,
+            r.mean_queue_wait,
+            t.mean,
+            t.m2,
+            t.min,
+            t.max,
+            f.outage_seconds,
+            f.down_seconds,
+            f.epoch_divergence,
+        ];
+        let counts = [
+            d.objects as u64,
+            d.refreshes_applied,
+            r.refreshes_sent,
+            r.refreshes_delivered,
+            r.feedback_messages,
+            r.polls_sent,
+            r.max_cache_queue as u64,
+            r.updates_processed,
+            t.count,
+            f.lost_refreshes,
+            f.retransmits,
+            f.outages,
+            f.dropped_in_outage,
+            f.crashes,
+            f.missed_updates,
+            f.resync_quotes,
+            f.stale_drops,
+            f.superseded_retries,
+        ];
+        floats.iter().map(|x| x.to_bits()).chain(counts).collect()
+    }
+
+    #[test]
+    fn psi_zero_competitive_equals_coop() {
+        // §7 is §5 with a Ψ-share diverted; with nothing diverted the two
+        // are the same run, fault lanes included.
+        let lossy = FaultProfile {
+            loss_prob: 0.15,
+            ..FaultProfile::default()
+        };
+        for fault in [None, Some(lossy)] {
+            let coop = crate::CoopSystem::new(
+                SystemConfig {
+                    fault,
+                    ..base_cfg()
+                },
+                conflicted().0,
+            )
+            .run();
+            for policy in [SharePolicy::EqualShare, SharePolicy::ProportionalToValue] {
+                let psi0 = build(fault, 0.0, policy).run_report();
+                assert_eq!(bits(&psi0), bits(&coop), "{policy:?}, fault {fault:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn competitive_runs_every_fault_class() {
+        for recovery in [
+            RecoveryPolicy::Retransmit { deadline: 1.5 },
+            RecoveryPolicy::Resync,
+        ] {
+            let fault = Some(FaultProfile {
+                loss_prob: 0.2,
+                outage_rate: 0.03,
+                outage_duration: 4.0,
+                crash_rate: 0.02,
+                crash_downtime: 6.0,
+                recovery,
+                ..FaultProfile::default()
+            });
+            let run = || build(fault, 0.4, SharePolicy::ProportionalToValue).run_report();
+            let (a, b) = (run(), run());
+            assert_eq!(bits(&a), bits(&b), "{recovery:?} not deterministic");
+            assert!(a.faults.outages > 0 && a.faults.crashes > 0);
+            assert!(a.faults.lost_refreshes > 0 && a.faults.missed_updates > 0);
+            // Every link transit ends delivered, lost, queued or dropped.
+            assert!(
+                a.refreshes_delivered + a.faults.lost_refreshes
+                    <= a.refreshes_sent + a.faults.retransmits,
+                "{recovery:?}: delivered {} + lost {} > sent {} + retransmits {}",
+                a.refreshes_delivered,
+                a.faults.lost_refreshes,
+                a.refreshes_sent,
+                a.faults.retransmits
+            );
+        }
     }
 
     #[test]

@@ -245,9 +245,7 @@ impl HeapKey for PriorityKey {
 /// An indexed max-heap over `n` items: at most one entry per item, revised
 /// **in place** (a sift instead of a stale push), removed in place on
 /// [`IndexedMaxHeap::invalidate`]. The priority-flavoured wrapper over the
-/// workspace-wide [`besync_sim::IndexedHeap`]; the time-flavoured sibling
-/// is [`besync_sim::SlotQueue`] — one sift implementation serves every
-/// scheduler in the tree.
+/// workspace-wide [`besync_sim::IndexedHeap`].
 ///
 /// Same ordering contract as [`LazyMaxHeap`] — max priority first, FIFO by
 /// quote seq within a priority tie — and a drop-in method surface, so the

@@ -15,73 +15,36 @@
 //! of Figure 4 and the "ideal cooperative" curves of Figures 5–6.
 
 use besync_data::ids::ObjectLayout;
-use besync_data::{Metric, ObjectId, TruthTable, WeightSet};
+use besync_data::{ObjectId, SourceId};
 use besync_net::Link;
-use besync_sim::stats::RunningStats;
-use besync_sim::{CalendarQueue, SimTime};
-use besync_workloads::{Updater, WorkloadSpec};
-use rand::rngs::SmallRng;
+use besync_sim::{SimTime, Wave};
+use besync_workloads::WorkloadSpec;
 
 use crate::config::SystemConfig;
 use crate::fault::{FaultSummary, LossLane};
-use crate::heap::IndexedMaxHeap;
-use crate::priority::{compute_priority, AreaTracker, BoundTracker, PolicyKind, PriorityInputs};
+use crate::kernel::{Handler, Kernel};
 use crate::report::RunReport;
-
-/// Per-object scheduler state (the ideal scheduler sees every object
-/// directly, so there is no per-source bookkeeping beyond the uplinks).
-/// Compressed to 56 bytes with `u32` update counters, mirroring
-/// [`crate::source::ObjectState`] — counter arithmetic widens to `u64`
-/// before the metric/estimator sees it, so priorities are bit-identical
-/// to the wide layout.
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-struct ObjState {
-    value: f64,
-    snap_value: f64,
-    area: AreaTracker,
-    updates: u32,
-    snap_updates: u32,
-}
-
-const _: () = assert!(std::mem::size_of::<ObjState>() == 56);
+use crate::source::SourceRuntime;
 
 /// The omniscient scheduler defining "theoretically achievable"
-/// divergence.
-///
-/// Runs on the same fast scheduler stack as [`crate::CoopSystem`]: events
-/// live in a [`CalendarQueue`] (object `i`'s single pending update in
-/// slot `i`, plus the tick and end-of-warm-up singletons), and the global
-/// priority order lives in an [`IndexedMaxHeap`]. Both order exactly like
-/// the `EventQueue` + `LazyMaxHeap` pair this system originally ran on,
-/// so trajectories are bit-identical — `tests/scheduler_equivalence.rs`
-/// pins the pre-port counters.
+/// divergence: the shared event [`Kernel`] with a global-heap handler.
 pub struct IdealSystem {
+    kernel: Kernel,
+    sched: Omniscient,
+}
+
+/// The §3.3 rule as a [`Handler`].
+struct Omniscient {
     cfg: SystemConfig,
     layout: ObjectLayout,
-    truth: TruthTable,
-    states: Vec<ObjState>,
-    bounds: Option<Vec<BoundTracker>>,
-    /// Per-object weights behind the dense constant fast path (see
-    /// [`WeightSet`]); `priority_of` runs on every update.
-    weights: WeightSet,
-    rates: Vec<f64>,
+    /// Every object's bookkeeping and the global priority heap: the ideal
+    /// scheduler sees all objects directly, so it is one source-side
+    /// runtime spanning them all. Its own uplink and threshold are
+    /// unused — bandwidth limits are the per-source `uplinks` below.
+    all: SourceRuntime,
     uplinks: Vec<Link<()>>,
     cache_link: Link<()>,
-    heap: IndexedMaxHeap,
-    queue: CalendarQueue,
-    /// Slot id of the per-second tick event (`total_objects`).
-    tick_slot: u32,
-    /// Slot id of the end-of-warm-up event (`total_objects + 1`).
-    warmup_slot: u32,
-    updaters: Vec<Updater>,
-    rngs: Vec<SmallRng>,
-    refreshes: u64,
-    updates_processed: u64,
     stash: Vec<(f64, u32)>,
-    /// Reusable buffer for requote sweeps (zero steady-state allocation).
-    quote_scratch: Vec<(u32, f64)>,
-    start: SimTime,
     /// Refresh-loss lane when a fault profile with positive loss is
     /// configured. The ideal scheduler has no message queue or link
     /// outages — of the simulated-world fault classes only loss applies,
@@ -95,207 +58,89 @@ impl IdealSystem {
     /// [`crate::CoopSystem`] takes, so the two are directly comparable on
     /// identical update sequences.
     pub fn new(cfg: SystemConfig, mut spec: WorkloadSpec) -> Self {
-        spec.validate().expect("invalid workload spec");
-        let layout = spec.layout;
-        let total = spec.total_objects();
-        let truth = TruthTable::new(cfg.metric, &spec.initial_values, spec.weights.clone());
-        let bounds = cfg.bound_rates.as_ref().map(|rs| {
-            assert_eq!(rs.len(), total, "one bound rate per object");
-            rs.iter()
-                .map(|&r| BoundTracker::new(SimTime::ZERO, r, 0.0))
-                .collect()
-        });
-        assert!(
-            !matches!(cfg.policy, PolicyKind::Bound) || bounds.is_some(),
-            "Bound policy requires bound rates"
+        let kernel = Kernel::new(
+            cfg.metric,
+            cfg.tick,
+            cfg.warmup,
+            cfg.measure,
+            &mut spec,
+            0,
+            0.0,
         );
-        let states = spec
-            .initial_values
-            .iter()
-            .map(|&v| ObjState {
-                value: v,
-                snap_value: v,
-                area: AreaTracker::new(SimTime::ZERO),
-                updates: 0,
-                snap_updates: 0,
-            })
-            .collect();
-        let uplinks = layout
-            .all_sources()
-            .map(|s| Link::new(cfg.source_wave(s.0)))
-            .collect();
-        let cache_link = Link::new(cfg.cache_wave());
-
-        let mut rngs = spec.object_rngs();
-        let tick_slot = total as u32;
-        let warmup_slot = total as u32 + 1;
-        // Bucket width ≈ the mean gap between consecutive events
-        // (aggregate update rate plus the once-per-second tick), the
-        // occupancy-one sweet spot for a calendar queue.
-        let event_rate = spec.rates.iter().sum::<f64>() + 1.0 / cfg.tick.max(1e-6);
-        let mut queue = CalendarQueue::new(total + 2, 1.0 / event_rate);
-        // Scheduling order matters: the queue breaks same-instant ties by
-        // schedule order, and this order (warm-up, tick, objects) is the
-        // one the pre-port trajectories were recorded under.
-        queue.schedule(warmup_slot, SimTime::new(cfg.warmup));
-        queue.schedule(tick_slot, SimTime::new(cfg.tick));
-        for obj in layout.all_objects() {
-            let idx = obj.index();
-            if let Some(t0) = spec.updaters[idx].first_time(SimTime::ZERO, &mut rngs[idx]) {
-                queue.schedule(obj.0, t0);
-            }
-        }
-
+        let layout = spec.layout;
+        let all = SourceRuntime::new(
+            SourceId(0),
+            0,
+            &spec.initial_values,
+            spec.weights,
+            spec.rates,
+            Link::new(Wave::Constant(0.0)),
+            cfg.threshold_params(layout.sources()),
+            cfg.metric,
+            cfg.policy,
+            cfg.estimator,
+            cfg.bound_rates.clone(),
+            SimTime::ZERO,
+        );
         let loss = cfg.fault.and_then(|profile| {
             profile.validate().expect("invalid fault profile");
             (profile.loss_prob > 0.0).then(|| LossLane::new(cfg.sim_seed, 0, profile.loss_prob))
         });
-
-        IdealSystem {
-            cfg,
+        let sched = Omniscient {
             layout,
-            truth,
-            states,
-            bounds,
-            weights: WeightSet::new(spec.weights),
-            rates: spec.rates,
-            uplinks,
-            cache_link,
-            heap: IndexedMaxHeap::new(total),
-            queue,
-            tick_slot,
-            warmup_slot,
-            updaters: spec.updaters,
-            rngs,
-            refreshes: 0,
-            updates_processed: 0,
+            all,
+            uplinks: layout
+                .all_sources()
+                .map(|s| Link::new(cfg.source_wave(s.0)))
+                .collect(),
+            cache_link: Link::new(cfg.cache_wave()),
             stash: Vec::new(),
-            quote_scratch: Vec::new(),
-            start: SimTime::ZERO,
             loss,
             fault_stats: FaultSummary::default(),
-        }
+            cfg,
+        };
+        IdealSystem { kernel, sched }
     }
 
     /// Runs to the horizon and reports.
     pub fn run(mut self) -> RunReport {
-        let horizon = SimTime::new(self.cfg.horizon());
-        while let Some((now, slot)) = self.queue.pop_at_or_before(horizon) {
-            if slot < self.tick_slot {
-                self.on_update(now, ObjectId(slot));
-            } else if slot == self.tick_slot {
-                self.on_tick(now);
-            } else {
-                debug_assert_eq!(slot, self.warmup_slot);
-                self.truth.begin_measurement(now);
-            }
-        }
+        self.kernel
+            .run_until(self.kernel.horizon(), &mut self.sched);
+        let refreshes = self.sched.all.sends;
         RunReport {
-            divergence: self.truth.report(horizon),
-            refreshes_sent: self.refreshes,
-            refreshes_delivered: self.refreshes - self.fault_stats.lost_refreshes,
-            feedback_messages: 0,
-            polls_sent: 0,
-            max_cache_queue: 0,
-            mean_queue_wait: 0.0,
-            threshold_stats: RunningStats::new(),
-            updates_processed: self.updates_processed,
-            faults: self.fault_stats,
+            refreshes_sent: refreshes,
+            refreshes_delivered: refreshes - self.sched.fault_stats.lost_refreshes,
+            faults: self.sched.fault_stats,
+            ..self.kernel.report()
         }
     }
+}
 
-    fn priority_of(&self, now: SimTime, obj: u32) -> f64 {
-        let idx = obj as usize;
-        let st = &self.states[idx];
-        let divergence = self.cfg.metric.divergence(
-            st.value,
-            st.updates as u64,
-            st.snap_value,
-            st.snap_updates as u64,
-        );
-        let since_refresh = (st.updates - st.snap_updates) as u64;
-        let lambda_hat = self.cfg.estimator.estimate(
-            self.rates[idx],
-            st.updates as u64,
-            now - self.start,
-            since_refresh,
-            now - st.area.last_refresh(),
-        );
-        let inputs = PriorityInputs {
-            now,
-            divergence,
-            updates_since_refresh: since_refresh,
-            lambda_hat,
-            weight: self.weights.weight_at(idx, now),
-            max_rate: self.bounds.as_ref().map_or(0.0, |b| b[idx].max_rate),
-        };
-        compute_priority(
-            self.cfg.policy,
-            matches!(self.cfg.metric, Metric::Deviation(_)),
-            &st.area,
-            &inputs,
-        )
+impl Handler for Omniscient {
+    fn on_update(&mut self, k: &mut Kernel, now: SimTime, obj: ObjectId, value: f64, weight: f64) {
+        self.all.record_update_weighted(now, obj.0, value, weight);
+        self.drain(k, now);
     }
 
-    fn on_update(&mut self, now: SimTime, obj: ObjectId) {
-        self.updates_processed += 1;
-        let idx = obj.index();
-        let current = self.states[idx].value;
-        let (value, next) = self.updaters[idx].fire(now, current, &mut self.rngs[idx]);
-        self.truth.source_update(now, obj, value);
-        {
-            let st = &mut self.states[idx];
-            st.value = value;
-            st.updates += 1;
-            let d = self.cfg.metric.divergence(
-                st.value,
-                st.updates as u64,
-                st.snap_value,
-                st.snap_updates as u64,
-            );
-            st.area.on_update(now, d);
-        }
-        let p = self.priority_of(now, obj.0);
-        // The indexed heap revises this object's quote in place.
-        self.heap.push(obj.0, p);
-        self.drain(now);
-        if let Some(t) = next {
-            self.queue.schedule(obj.0, t);
-        }
-    }
-
-    fn on_tick(&mut self, now: SimTime) {
+    fn on_tick(&mut self, k: &mut Kernel, now: SimTime) {
         if !self.cfg.policy.piecewise_constant() {
-            self.requote_all(now);
+            self.all.requote_all(now);
         }
-        self.drain(now);
-        self.queue.schedule(self.tick_slot, now + self.cfg.tick);
+        self.drain(k, now);
     }
+}
 
-    fn requote_all(&mut self, now: SimTime) {
-        // Only objects with something to ship need a quote; the scratch
-        // buffer makes the sweep allocation-free in steady state.
-        let mut quotes = std::mem::take(&mut self.quote_scratch);
-        quotes.clear();
-        for o in 0..self.states.len() as u32 {
-            if self.states[o as usize].updates > self.states[o as usize].snap_updates {
-                quotes.push((o, self.priority_of(now, o)));
-            }
-        }
-        self.heap.rebuild(quotes.drain(..));
-        self.quote_scratch = quotes;
-    }
-
+impl Omniscient {
     /// Refresh the globally highest-priority feasible object while
     /// cache-side credit lasts, skipping (but retaining) objects whose
     /// source uplink is exhausted — the §3.3 rule.
-    fn drain(&mut self, now: SimTime) {
+    fn drain(&mut self, k: &mut Kernel, now: SimTime) {
         self.stash.clear();
         loop {
             if self.cache_link.credit(now) < 1.0 {
                 break;
             }
-            let (p, obj) = match self.heap.peek_valid() {
+            let (p, obj) = match self.all.heap.peek_valid() {
                 Some(top) => top,
                 None => break,
             };
@@ -303,45 +148,32 @@ impl IdealSystem {
                 break;
             }
             let sid = self.layout.source_of(ObjectId(obj));
+            self.all.heap.pop_valid();
             if !self.uplinks[sid.index()].try_consume(now, 1.0) {
                 // Source-side constrained: skip to the next-highest.
-                self.heap.pop_valid();
                 self.stash.push((p, obj));
                 continue;
             }
             let consumed = self.cache_link.try_consume(now, 1.0);
             debug_assert!(consumed, "credit checked above");
-            self.heap.pop_valid();
-            self.refresh(now, ObjectId(obj));
+            self.refresh(k, now, obj);
         }
         // Skipped objects keep their quotes for the next opportunity.
-        let stash = std::mem::take(&mut self.stash);
-        for (p, obj) in &stash {
-            self.heap.push(*obj, *p);
+        for &(p, obj) in &self.stash {
+            self.all.heap.push(obj, p);
         }
-        self.stash = stash;
     }
 
-    fn refresh(&mut self, now: SimTime, obj: ObjectId) {
-        let idx = obj.index();
-        {
-            let st = &mut self.states[idx];
-            st.snap_value = st.value;
-            st.snap_updates = st.updates;
-            st.area.on_refresh(now);
-        }
-        if let Some(bounds) = &mut self.bounds {
-            bounds[idx].on_refresh(now);
-        }
+    fn refresh(&mut self, k: &mut Kernel, now: SimTime, obj: u32) {
+        self.all.mark_sent_unthrottled(now, obj);
         // The scheduler believes the refresh succeeded either way (the
         // sending side cannot observe a silent loss).
         if self.loss.as_mut().is_some_and(|l| l.draw()) {
             self.fault_stats.lost_refreshes += 1;
         } else {
             // Instantaneous and perfectly fresh (the idealized assumption).
-            self.truth.apply_fresh_refresh(now, obj);
+            k.truth.apply_fresh_refresh(now, ObjectId(obj));
         }
-        self.refreshes += 1;
     }
 }
 

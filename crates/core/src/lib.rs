@@ -5,7 +5,7 @@
 //! synchronized with remote sources, refreshes must be *selected*, and the
 //! paper shows how sources and the cache can cooperate to pick them.
 //!
-//! The library has three layers:
+//! The library has four layers:
 //!
 //! * **Priority policies** ([`priority`]) — the paper's refresh priority
 //!   function (the weighted area *above* the divergence curve since the
@@ -19,13 +19,21 @@
 //!   sampling-based priority monitors (§8); and the cache side
 //!   ([`cache`]): positive-feedback targeting and the competitive
 //!   bandwidth partitioning of §7.
-//! * **Simulations** — [`system::CoopSystem`] wires sources, the shared
-//!   cache-side link, and a workload into the full pragmatic algorithm of
-//!   §5, and [`ideal::IdealSystem`] implements the omniscient scheduler of
-//!   §3.3 that defines "theoretically achievable" divergence in Figures
-//!   4–6. Both — plus the §7 [`competitive::CompetitiveSystem`] and the
-//!   CGM baselines in `besync_baselines` — run on the same
-//!   `CalendarQueue` + indexed-heap scheduler stack.
+//! * **The event kernel** ([`kernel`]) — one [`kernel::Kernel`] owns the
+//!   calendar queue, each object's updater and RNG, the ground truth, the
+//!   numbering and tie order of a run's events, and the only event loop
+//!   in the workspace. A system is a statically dispatched
+//!   [`kernel::Handler`] on it.
+//! * **Systems** — the §5 protocol ([`system::Protocol`]: sources, the
+//!   shared cache-side link, the cache, and the whole fault layer) is
+//!   generic over a [`system::Extension`]. With the no-op
+//!   [`system::Plain`] it is [`system::CoopSystem`]; with the Ψ state of
+//!   [`competitive::Psi`] hooked in at the points where §7 differs
+//!   it is [`competitive::CompetitiveSystem`]. [`ideal::IdealSystem`],
+//!   the omniscient scheduler of §3.3 that defines "theoretically
+//!   achievable" divergence in Figures 4–6, and the CGM baselines in
+//!   `besync_baselines` are alternative handlers over the same update
+//!   stream.
 //!
 //! # Quick example
 //!
@@ -53,6 +61,7 @@ pub mod config;
 pub mod fault;
 pub mod heap;
 pub mod ideal;
+pub mod kernel;
 pub mod priority;
 pub mod report;
 pub mod source;

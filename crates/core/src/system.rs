@@ -1,6 +1,6 @@
 //! The pragmatic cooperative synchronization system (paper §5).
 //!
-//! [`CoopSystem`] wires a [`WorkloadSpec`] into the full protocol:
+//! [`Protocol`] wires a [`WorkloadSpec`] into the full protocol:
 //!
 //! * **Sources** watch their objects, keep them "in priority order", and
 //!   whenever source-side bandwidth permits, send the highest-priority
@@ -13,10 +13,16 @@
 //!   feedback messages to the highest-threshold sources, each dividing
 //!   that source's threshold by ω (unless the source is saturated).
 //!
-//! Ground-truth divergence is accounted exactly by a
+//! Ground-truth divergence is accounted exactly by the kernel's
 //! [`besync_data::TruthTable`]; note the asymmetry the paper exploits:
 //! sources reason optimistically from their last *sent* snapshot, while
 //! the truth reflects what actually reached the cache and when.
+//!
+//! The protocol is a [`Handler`] on the shared event [`Kernel`], generic
+//! over an [`Extension`]: [`CoopSystem`] runs it with the zero-sized
+//! [`Plain`] no-op, and the §7 competitive scheme
+//! ([`crate::competitive`]) is the same protocol — fault layer included —
+//! with a Ψ-share of bandwidth diverted at the extension's hook points.
 
 use std::collections::VecDeque;
 
@@ -24,15 +30,15 @@ use besync_data::ids::ObjectLayout;
 use besync_data::{ObjectId, SourceId, TruthTable};
 use besync_net::Link;
 use besync_sim::stats::RunningStats;
-use besync_sim::{CalendarQueue, SimTime};
-use besync_workloads::{Updater, WorkloadSpec};
-use rand::rngs::SmallRng;
+use besync_sim::SimTime;
+use besync_workloads::WorkloadSpec;
 
 use crate::cache::CacheRuntime;
 use crate::config::SystemConfig;
 use crate::fault::{
     Episode, EpisodeSchedule, FaultProfile, FaultSummary, LossLane, RecoveryPolicy,
 };
+use crate::kernel::{Handler, Kernel};
 use crate::report::RunReport;
 use crate::source::{Snapshot, SourceRuntime};
 
@@ -53,23 +59,22 @@ pub struct RefreshMsg {
 /// the config carries a [`FaultProfile`]; with `None` the fault-free
 /// path takes no extra queue slots and draws no fault randomness, so it
 /// stays bit-identical to the pre-fault tree.
+///
+/// Exact-time transitions ride the kernel's auxiliary slots: slot 0
+/// carries the shared-link outage window, slot `1 + j` source `j`'s
+/// crash episodes.
 struct FaultLayer {
     profile: FaultProfile,
     /// Counter-hashed per-delivery loss decisions.
     loss: LossLane,
     /// Cache-link outage windows (lazily generated).
     outages: EpisodeSchedule,
-    /// The window scheduled into `outage_slot`; its start has fired iff
-    /// `outage_active`.
+    /// The window scheduled into the outage slot; its start has fired
+    /// iff `outage_active`.
     outage: Option<Episode>,
     outage_active: bool,
     /// Divergence-integral probe taken at outage start.
     outage_epoch_start: f64,
-    /// Queue slot carrying outage start/end transitions
-    /// (`total_objects + 2`).
-    outage_slot: u32,
-    /// First per-source crash slot (`total_objects + 3 + sid`).
-    crash_slot_base: u32,
     crash: Vec<CrashState>,
     /// Lost refreshes awaiting link-layer retransmission. The deadline
     /// is constant, so push order is due order.
@@ -90,40 +95,61 @@ struct CrashState {
     epoch_start: f64,
 }
 
-/// The full cooperative system of the paper, ready to run.
-///
-/// Events live in a [`CalendarQueue`]: object `i`'s (single) pending
-/// update occupies slot `i`, and two extra slots carry the per-second tick
-/// and the end-of-warm-up marker. The bucket width is sized from the
-/// workload's aggregate update rate, so the dominant update→next-update
-/// pattern costs an O(1) bucket push plus a short scan of one hot bucket —
-/// no O(log n) heap sift, no pointer-chasing through cold cache lines. The
-/// queue orders by `(time, schedule seq)` exactly like the generic
-/// [`besync_sim::EventQueue`], so trajectories are bit-identical to the
-/// heap-based representation.
-pub struct CoopSystem {
-    cfg: SystemConfig,
+/// The points where §7's competitive scheme departs from the §5
+/// protocol. Every hook defaults to a no-op and is dispatched statically,
+/// so [`Plain`] compiles to the protocol alone.
+pub trait Extension: Sized {
+    /// Object `local` of source `sid` took `value`; the source has
+    /// recorded it (and quoted it, unless the source is down).
+    fn after_update(_p: &mut Protocol<Self>, _now: SimTime, _sid: usize, _local: u32, _value: f64) {
+    }
+
+    /// The tick has delivered queued refreshes and is about to run the
+    /// threshold sends.
+    fn before_tick_sends(_p: &mut Protocol<Self>, _k: &mut Kernel, _now: SimTime) {}
+
+    /// Source `sid` sent `local` through the threshold pool and the
+    /// message has been offered to the cache link.
+    fn after_threshold_send(
+        _p: &mut Protocol<Self>,
+        _k: &mut Kernel,
+        _now: SimTime,
+        _sid: usize,
+        _local: u32,
+    ) {
+    }
+
+    /// The cache applied `msg`'s snapshot.
+    fn after_refresh(&mut self, _now: SimTime, _msg: &RefreshMsg) {}
+
+    /// Warm-up ended.
+    fn at_warmup(&mut self, _now: SimTime) {}
+
+    /// Source `sid`'s sync agent crashed, losing its in-memory state.
+    fn at_crash(&mut self, _sid: usize) {}
+}
+
+/// The §5 protocol as the paper states it: no extension.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Plain;
+
+impl Extension for Plain {}
+
+/// Sources, shared cache link, cache and fault layer of a §5 run — the
+/// [`Handler`] a [`System`] puts on its [`Kernel`].
+pub struct Protocol<X: Extension> {
+    pub(crate) cfg: SystemConfig,
     layout: ObjectLayout,
-    truth: TruthTable,
-    sources: Vec<SourceRuntime>,
-    cache_link: Link<RefreshMsg>,
-    cache: CacheRuntime,
-    queue: CalendarQueue,
-    /// Slot id of the per-second tick event (`total_objects`).
-    tick_slot: u32,
-    /// Slot id of the end-of-warm-up event (`total_objects + 1`).
-    warmup_slot: u32,
+    pub(crate) sources: Vec<SourceRuntime>,
+    pub(crate) cache_link: Link<RefreshMsg>,
+    pub(crate) cache: CacheRuntime,
     /// Source owning each object (precomputed: the per-event division in
     /// `ObjectLayout::source_of` is measurable at millions of events/sec).
     obj_source: Vec<u32>,
-    /// Each object's updater and its RNG stream, kept adjacent: `fire`
-    /// touches both on every event, so one cache line beats two.
-    updaters: Vec<(Updater, SmallRng)>,
     scratch: Vec<RefreshMsg>,
     /// Reusable feedback target buffer (zero steady-state allocation).
     feedback_targets: Vec<u32>,
     refreshes_delivered: u64,
-    updates_processed: u64,
     /// Refreshes delivered since the last tick (feeds the utilization
     /// estimate below).
     deliveries_this_tick: u64,
@@ -137,7 +163,19 @@ pub struct CoopSystem {
     /// The simulated-world fault layer, `None` on the fault-free path.
     faults: Option<FaultLayer>,
     fault_stats: FaultSummary,
+    /// What the run adds to §5 ([`Plain`]: nothing).
+    pub(crate) ext: X,
 }
+
+/// A §5 protocol run: the event [`Kernel`] plus the [`Protocol`] handling
+/// its events.
+pub struct System<X: Extension> {
+    pub(crate) kernel: Kernel,
+    pub(crate) proto: Protocol<X>,
+}
+
+/// The full cooperative system of the paper, ready to run.
+pub type CoopSystem = System<Plain>;
 
 impl CoopSystem {
     /// Builds the system from a configuration and workload.
@@ -147,18 +185,74 @@ impl CoopSystem {
     /// Panics if the workload spec is internally inconsistent or if
     /// `bound_rates` is required/mismatched (see
     /// [`crate::priority::PolicyKind::Bound`]).
-    pub fn new(cfg: SystemConfig, mut spec: WorkloadSpec) -> Self {
-        spec.validate().expect("invalid workload spec");
+    pub fn new(cfg: SystemConfig, spec: WorkloadSpec) -> Self {
+        Self::with_extension(cfg, spec, Plain)
+    }
+
+    /// Processes every event at or before `t` (the simulation can then be
+    /// inspected mid-run and resumed — used by tests and benchmarks).
+    ///
+    /// Deliberately not generic over the extension: a generic method is
+    /// instantiated in whichever crate calls it, away from the source,
+    /// link and cache code the loop inlines (measured: 8–10 % fewer
+    /// events/sec when a downstream crate drives the loop).
+    pub fn run_until(&mut self, t: SimTime) {
+        self.kernel.run_until(t, &mut self.proto);
+    }
+
+    /// Runs to the configured horizon and reports.
+    pub fn run(mut self) -> RunReport {
+        self.run_until(self.horizon());
+        self.into_report()
+    }
+}
+
+impl<X: Extension> System<X> {
+    /// Builds the protocol over `spec` with `ext` at its hook points.
+    pub(crate) fn with_extension(cfg: SystemConfig, mut spec: WorkloadSpec, ext: X) -> Self {
         let layout = spec.layout;
         let m = layout.sources();
-        let truth = TruthTable::new(cfg.metric, &spec.initial_values, spec.weights.clone());
-        let tparams = cfg.threshold_params(m);
-
-        // Bucket width ≈ the mean gap between consecutive events
-        // (aggregate update rate plus the once-per-second tick), the
-        // occupancy-one sweet spot for a calendar queue. Summed before
-        // the rate pool is consumed below.
-        let event_rate = spec.rates.iter().sum::<f64>() + 1.0 / cfg.tick.max(1e-6);
+        let faults = cfg.fault.map(|profile| {
+            profile.validate().expect("invalid fault profile");
+            let crash = (0..m)
+                .map(|sid| {
+                    let mut sched = EpisodeSchedule::crashes(cfg.sim_seed, sid, &profile);
+                    let episode = sched.next_episode();
+                    CrashState {
+                        sched,
+                        episode,
+                        down: false,
+                        epoch_start: 0.0,
+                    }
+                })
+                .collect();
+            let mut outages = EpisodeSchedule::outages(cfg.sim_seed, &profile);
+            let outage = outages.next_episode();
+            FaultLayer {
+                loss: LossLane::new(cfg.sim_seed, 0, profile.loss_prob),
+                profile,
+                outages,
+                outage,
+                outage_active: false,
+                outage_epoch_start: 0.0,
+                crash,
+                retries: VecDeque::new(),
+                delivered_per_source: vec![0; m as usize],
+            }
+        });
+        // A fault profile needs exact-time transitions: one slot for the
+        // shared-link outage window plus one crash slot per source. With
+        // no profile the queue is constructed exactly as before.
+        let aux_slots = faults.as_ref().map_or(0, |_| 1 + m as usize);
+        let mut kernel = Kernel::new(
+            cfg.metric,
+            cfg.tick,
+            cfg.warmup,
+            cfg.measure,
+            &mut spec,
+            aux_slots,
+            0.0,
+        );
 
         // The sources take ownership of the spec's weight/rate pools
         // rather than copying slices out of them: at the 1M-object
@@ -167,6 +261,7 @@ impl CoopSystem {
         // `split_off` O(objects-per-source), and construction order
         // doesn't observe anything time-dependent, so reversing at the
         // end leaves every source bit-identical to the slice-copy build.
+        let tparams = cfg.threshold_params(m);
         let mut weight_pool = std::mem::take(&mut spec.weights);
         let mut rate_pool = std::mem::take(&mut spec.rates);
         let mut sources = Vec::with_capacity(m as usize);
@@ -192,224 +287,148 @@ impl CoopSystem {
         }
         sources.reverse();
 
-        let cache_link = Link::new(cfg.cache_wave());
-        let cache = CacheRuntime::new(
-            m,
-            cfg.initial_threshold,
-            cfg.feedback_targeting,
-            cfg.sim_seed,
-        );
-
-        let rngs = spec.object_rngs();
-        let total = spec.total_objects();
-        let tick_slot = total as u32;
-        let warmup_slot = total as u32 + 1;
-        // A fault profile needs exact-time transitions: one slot for the
-        // shared-link outage window plus one crash slot per source. With
-        // no profile the queue is constructed exactly as before.
-        let faults = cfg.fault.map(|profile| {
-            profile.validate().expect("invalid fault profile");
-            let crash = (0..m)
-                .map(|sid| {
-                    let mut sched = EpisodeSchedule::crashes(cfg.sim_seed, sid, &profile);
-                    let episode = sched.next_episode();
-                    CrashState {
-                        sched,
-                        episode,
-                        down: false,
-                        epoch_start: 0.0,
-                    }
-                })
-                .collect();
-            let mut outages = EpisodeSchedule::outages(cfg.sim_seed, &profile);
-            let outage = outages.next_episode();
-            FaultLayer {
-                loss: LossLane::new(cfg.sim_seed, 0, profile.loss_prob),
-                profile,
-                outages,
-                outage,
-                outage_active: false,
-                outage_epoch_start: 0.0,
-                outage_slot: total as u32 + 2,
-                crash_slot_base: total as u32 + 3,
-                crash,
-                retries: VecDeque::new(),
-                delivered_per_source: vec![0; m as usize],
-            }
-        });
-        // Fault-aware scheduling: each source prices its quotes by an
-        // estimated delivery probability, fed by the cache's acks. The
-        // estimator starts at 1.0, so priorities are unchanged until the
-        // first ack arrives; without `aware` no estimator exists and the
-        // priority path is bit-identical.
         if let Some(fl) = &faults {
+            // Fault-aware scheduling: each source prices its quotes by an
+            // estimated delivery probability, fed by the cache's acks. The
+            // estimator starts at 1.0, so priorities are unchanged until
+            // the first ack arrives; without `aware` no estimator exists
+            // and the priority path is bit-identical.
             if fl.profile.aware {
                 for s in &mut sources {
                     s.enable_delivery_estimator(cfg.sim_seed);
                 }
             }
-        }
-        let slots = match &faults {
-            None => total + 2,
-            Some(_) => total + 3 + m as usize,
-        };
-        let mut queue = CalendarQueue::new(slots, 1.0 / event_rate);
-        // Scheduling order matters: the queue breaks same-instant ties by
-        // schedule order, and this order (warm-up, tick, objects) is the
-        // one the golden trajectories were recorded under.
-        queue.schedule(warmup_slot, SimTime::new(cfg.warmup));
-        queue.schedule(tick_slot, SimTime::new(cfg.tick));
-        let mut updaters: Vec<(Updater, SmallRng)> = spec.updaters.into_iter().zip(rngs).collect();
-        for obj in layout.all_objects() {
-            let idx = obj.index();
-            let (updater, rng) = &mut updaters[idx];
-            if let Some(t0) = updater.first_time(SimTime::ZERO, rng) {
-                queue.schedule(obj.0, t0);
-            }
-        }
-        let obj_source = layout
-            .all_objects()
-            .map(|o| layout.source_of(o).0)
-            .collect();
-        if let Some(fl) = &faults {
             if let Some(e) = fl.outage {
-                queue.schedule(fl.outage_slot, SimTime::new(e.start));
+                kernel.schedule_aux(OUTAGE_AUX, SimTime::new(e.start));
             }
             for (sid, cs) in fl.crash.iter().enumerate() {
                 if let Some(e) = cs.episode {
-                    queue.schedule(fl.crash_slot_base + sid as u32, SimTime::new(e.start));
+                    kernel.schedule_aux(CRASH_AUX_BASE + sid as u32, SimTime::new(e.start));
                 }
             }
         }
 
-        CoopSystem {
-            cfg,
+        let proto = Protocol {
             layout,
-            truth,
             sources,
-            cache_link,
-            cache,
-            queue,
-            tick_slot,
-            warmup_slot,
-            obj_source,
-            updaters,
+            cache_link: Link::new(cfg.cache_wave()),
+            cache: CacheRuntime::new(
+                m,
+                cfg.initial_threshold,
+                cfg.feedback_targeting,
+                cfg.sim_seed,
+            ),
+            obj_source: layout
+                .all_objects()
+                .map(|o| layout.source_of(o).0)
+                .collect(),
             scratch: Vec::new(),
             feedback_targets: Vec::new(),
             refreshes_delivered: 0,
-            updates_processed: 0,
             deliveries_this_tick: 0,
             delivery_rate_ewma: 0.0,
             faults,
             fault_stats: FaultSummary::default(),
-        }
-    }
-
-    /// Runs to the configured horizon and reports.
-    pub fn run(mut self) -> RunReport {
-        let horizon = SimTime::new(self.cfg.horizon());
-        self.run_until(horizon);
-        self.report(horizon)
-    }
-
-    /// Processes every event at or before `t` (the simulation can then be
-    /// inspected mid-run and resumed — used by tests and benchmarks).
-    pub fn run_until(&mut self, t: SimTime) {
-        while let Some((now, slot)) = self.queue.pop_at_or_before(t) {
-            if slot < self.tick_slot {
-                // An object update — by far the dominant event.
-                if let Some(next) = self.on_update(now, ObjectId(slot)) {
-                    self.queue.schedule(slot, next);
-                }
-            } else if slot == self.tick_slot {
-                self.on_tick(now);
-            } else if slot == self.warmup_slot {
-                self.truth.begin_measurement(now);
-            } else {
-                // Fault transitions only exist when a profile is set.
-                self.on_fault_event(now, slot);
-            }
-        }
+            ext,
+            cfg,
+        };
+        System { kernel, proto }
     }
 
     /// Finishes a stepped run: accounts divergence up to the configured
     /// horizon and reports, exactly as [`CoopSystem::run`] would.
     pub fn into_report(self) -> RunReport {
-        let horizon = SimTime::new(self.cfg.horizon());
-        self.report(horizon)
+        let p = self.proto;
+        let mut threshold_stats = RunningStats::new();
+        let mut refreshes_sent = 0;
+        for s in &p.sources {
+            threshold_stats.push(s.threshold.value());
+            refreshes_sent += s.sends;
+        }
+        let link_stats = p.cache_link.stats();
+        RunReport {
+            refreshes_sent,
+            refreshes_delivered: p.refreshes_delivered,
+            feedback_messages: p.cache.feedback_sent,
+            max_cache_queue: link_stats.max_queue,
+            mean_queue_wait: link_stats.total_wait / (link_stats.delivered.max(1) as f64),
+            threshold_stats,
+            faults: p.fault_stats,
+            ..self.kernel.report()
+        }
     }
 
     /// The configured end of simulated time.
     pub fn horizon(&self) -> SimTime {
-        SimTime::new(self.cfg.horizon())
+        self.kernel.horizon()
     }
 
     /// Read access to the per-source runtimes (tests, diagnostics).
     pub fn sources(&self) -> &[SourceRuntime] {
-        &self.sources
+        &self.proto.sources
     }
 
     /// How objects are laid out over sources.
     pub fn layout(&self) -> ObjectLayout {
-        self.layout
+        self.proto.layout
     }
 
     /// The ground truth (for inspection mid-construction or in tests).
     pub fn truth(&self) -> &TruthTable {
-        &self.truth
+        &self.kernel.truth
+    }
+}
+
+/// Auxiliary slot carrying outage start/end transitions.
+const OUTAGE_AUX: u32 = 0;
+/// First per-source crash slot.
+const CRASH_AUX_BASE: u32 = 1;
+
+impl<X: Extension> Handler for Protocol<X> {
+    /// Starts the `obj_source` → source → object-state load chain that
+    /// `on_update` ends on.
+    #[inline]
+    fn prefetch(&self, obj: ObjectId) {
+        let source = &self.sources[self.obj_source[obj.index()] as usize];
+        std::hint::black_box(source.state(source.local(obj)).value);
     }
 
-    /// Handles one object update and returns the time of that object's
-    /// next update, if any. Does NOT touch the event queue — the caller
-    /// reschedules the slot in place.
-    fn on_update(&mut self, now: SimTime, obj: ObjectId) -> Option<SimTime> {
-        self.updates_processed += 1;
-        let idx = obj.index();
-        let sid = self.obj_source[idx] as usize;
+    // Inlined into the kernel loop, its one call site, which otherwise
+    // sits in another codegen unit.
+    #[inline]
+    fn on_update(&mut self, k: &mut Kernel, now: SimTime, obj: ObjectId, value: f64, weight: f64) {
+        let sid = self.obj_source[obj.index()] as usize;
+        let down = self.source_down(sid);
         let source = &mut self.sources[sid];
         let local = source.local(obj);
-        let current = source.state(local).value;
-        let (updater, rng) = &mut self.updaters[idx];
-        let (value, next) = updater.fire(now, current, rng);
-        let weight = self.truth.source_update(now, obj, value);
-        if self.source_down(sid) {
+        if down {
             // The data changed, but the sync agent is down: track the
             // state silently, quote nothing, send nothing. Divergence
             // accrues against the live truth.
-            self.sources[sid].record_update_unquoted(now, local, value);
+            source.record_update_unquoted(now, local, value);
             self.fault_stats.missed_updates += 1;
-            return next;
+        } else {
+            source.record_update_weighted(now, local, value, weight);
         }
-        let source = &mut self.sources[sid];
-        source.record_update_weighted(now, local, value, weight);
+        X::after_update(self, now, sid, local, value);
         // §3.4: "sources have direct knowledge of update times and decide
         // whether to refresh immediately after each update".
-        self.attempt_sends(now, sid);
-        next
+        self.attempt_sends(k, now, sid);
     }
 
-    /// Whether source `sid`'s sync agent is currently crashed.
-    #[inline]
-    fn source_down(&self, sid: usize) -> bool {
-        match &self.faults {
-            Some(fl) => fl.crash[sid].down,
-            None => false,
-        }
-    }
-
-    fn on_tick(&mut self, now: SimTime) {
+    fn on_tick(&mut self, k: &mut Kernel, now: SimTime) {
         // 1) Deliver queued refreshes as capacity allows.
         let mut msgs = std::mem::take(&mut self.scratch);
         msgs.clear();
         self.cache_link.service(now, &mut msgs);
         for msg in &msgs {
-            self.deliver_faulty(now, *msg);
+            self.deliver_faulty(k, now, *msg);
         }
         self.scratch = msgs;
 
         // 1b) Lost refreshes whose retransmit deadline has passed
         //     re-enter the shared link like any other traffic.
-        self.process_retries(now);
+        self.process_retries(k, now);
 
         // 2) Time-dependent policies (Bound) need fresh quotes each tick.
         if !self.cfg.policy.piecewise_constant() {
@@ -422,8 +441,9 @@ impl CoopSystem {
         }
 
         // 3) Each source ships what its credit and threshold allow.
+        X::before_tick_sends(self, k, now);
         for sid in 0..self.sources.len() {
-            self.attempt_sends(now, sid);
+            self.attempt_sends(k, now, sid);
         }
 
         // 4) Update the utilization estimate, then spend genuine surplus
@@ -431,49 +451,87 @@ impl CoopSystem {
         self.delivery_rate_ewma =
             0.8 * self.delivery_rate_ewma + 0.2 * self.deliveries_this_tick as f64;
         self.deliveries_this_tick = 0;
-        self.send_feedback(now);
+        self.send_feedback(k, now);
+    }
 
-        self.queue.schedule(self.tick_slot, now + self.cfg.tick);
+    fn on_warmup(&mut self, now: SimTime) {
+        self.ext.at_warmup(now);
+    }
+
+    /// Fault transitions; the slots only exist when a profile is set.
+    fn on_aux(&mut self, k: &mut Kernel, now: SimTime, aux: u32) {
+        if aux == OUTAGE_AUX {
+            self.on_outage_transition(k, now);
+        } else {
+            self.on_crash_transition(k, now, (aux - CRASH_AUX_BASE) as usize);
+        }
+    }
+}
+
+impl<X: Extension> Protocol<X> {
+    /// Whether source `sid`'s sync agent is currently crashed.
+    #[inline]
+    pub(crate) fn source_down(&self, sid: usize) -> bool {
+        match &self.faults {
+            Some(fl) => fl.crash[sid].down,
+            None => false,
+        }
     }
 
     /// Sends from source `sid` while (a) an over-threshold candidate
     /// exists and (b) source-side credit remains. Updates the saturation
     /// flag per §5 footnote 3.
-    fn attempt_sends(&mut self, now: SimTime, sid: usize) {
+    fn attempt_sends(&mut self, k: &mut Kernel, now: SimTime, sid: usize) {
         if self.source_down(sid) {
             return;
         }
         loop {
-            let (priority, local) = match self.sources[sid].candidate() {
+            let source = &mut self.sources[sid];
+            let (priority, local) = match source.candidate() {
                 Some(c) => c,
                 None => {
-                    self.sources[sid].saturated = false;
+                    source.saturated = false;
                     return;
                 }
             };
-            if priority <= self.sources[sid].threshold.value() {
-                self.sources[sid].saturated = false;
+            if priority <= source.threshold.value() {
+                source.saturated = false;
                 return;
             }
-            if !self.sources[sid].uplink.try_consume(now, 1.0) {
+            if !source.uplink.try_consume(now, 1.0) {
                 // Over-threshold work pending but no source bandwidth.
-                self.sources[sid].saturated = true;
+                source.saturated = true;
                 return;
             }
-            let snapshot = self.sources[sid].mark_sent(now, local);
-            let msg = RefreshMsg {
-                obj: self.sources[sid].global(local),
-                src: self.sources[sid].id,
-                snapshot,
-                threshold: self.sources[sid].threshold.value(),
-            };
-            if let Some(delivered) = self.cache_link.offer(now, msg) {
-                self.deliver_faulty(now, delivered);
-            }
+            let snapshot = source.mark_sent(now, local);
+            self.offer(k, now, sid, local, snapshot);
+            X::after_threshold_send(self, k, now, sid, local);
         }
     }
 
-    fn send_feedback(&mut self, now: SimTime) {
+    /// Puts source `sid`'s just-taken `snapshot` of `local` on the cache
+    /// link, delivering it at once if the link has credit.
+    pub(crate) fn offer(
+        &mut self,
+        k: &mut Kernel,
+        now: SimTime,
+        sid: usize,
+        local: u32,
+        snapshot: Snapshot,
+    ) {
+        let source = &self.sources[sid];
+        let msg = RefreshMsg {
+            obj: source.global(local),
+            src: source.id,
+            snapshot,
+            threshold: source.threshold.value(),
+        };
+        if let Some(delivered) = self.cache_link.offer(now, msg) {
+            self.deliver_faulty(k, now, delivered);
+        }
+    }
+
+    fn send_feedback(&mut self, k: &mut Kernel, now: SimTime) {
         if self.cache_link.has_backlog() {
             return;
         }
@@ -484,15 +542,15 @@ impl CoopSystem {
         if surplus < 1.0 {
             return;
         }
-        let k = (surplus as usize).min(self.sources.len());
-        if k == 0 {
+        let k_targets = (surplus as usize).min(self.sources.len());
+        if k_targets == 0 {
             return;
         }
         // The target list is built into a buffer owned by this struct (not
         // the cache), so we can iterate it while mutating cache state; it
         // is reused across ticks, keeping the steady state allocation-free.
         let mut targets = std::mem::take(&mut self.feedback_targets);
-        self.cache.select_targets_into(k, &mut targets);
+        self.cache.select_targets_into(k_targets, &mut targets);
         for &sid in &targets {
             // Refreshes triggered by earlier feedback may have refilled
             // the queue; surplus is gone then.
@@ -520,7 +578,7 @@ impl CoopSystem {
                 }
             }
             // The lowered threshold may make objects eligible right away.
-            self.attempt_sends(now, sid);
+            self.attempt_sends(k, now, sid);
         }
         self.feedback_targets = targets;
     }
@@ -530,7 +588,7 @@ impl CoopSystem {
     /// already spent uplink credit and reset its view in `mark_sent`, so
     /// a loss silently leaves the cache stale — under the retransmit
     /// policy the message is queued for a deadline-delayed resend.
-    fn deliver_faulty(&mut self, now: SimTime, msg: RefreshMsg) {
+    fn deliver_faulty(&mut self, k: &mut Kernel, now: SimTime, msg: RefreshMsg) {
         if let Some(fl) = &mut self.faults {
             if fl.profile.loss_prob > 0.0 && fl.loss.draw() {
                 self.fault_stats.lost_refreshes += 1;
@@ -540,7 +598,7 @@ impl CoopSystem {
                 return;
             }
         }
-        self.deliver(now, msg);
+        self.deliver(k, now, msg);
     }
 
     /// Re-offers every lost refresh whose retransmit deadline has
@@ -549,7 +607,7 @@ impl CoopSystem {
     /// a newer snapshot are purged before they burn link credit, and
     /// during an outage window retries wait like any other traffic
     /// (they were already dropped at outage start under `drops_queue`).
-    fn process_retries(&mut self, now: SimTime) {
+    fn process_retries(&mut self, k: &mut Kernel, now: SimTime) {
         if self.cache_link.is_suspended() {
             return;
         }
@@ -563,13 +621,13 @@ impl CoopSystem {
                     _ => return,
                 }
             };
-            if self.retry_superseded(&msg) {
+            if self.retry_superseded(&k.truth, &msg) {
                 self.fault_stats.superseded_retries += 1;
                 continue;
             }
             self.fault_stats.retransmits += 1;
             if let Some(delivered) = self.cache_link.offer(now, msg) {
-                self.deliver_faulty(now, delivered);
+                self.deliver_faulty(k, now, delivered);
             }
         }
     }
@@ -581,8 +639,8 @@ impl CoopSystem {
     /// has updated the object since the lost send — the retried snapshot
     /// no longer matches the source, so under the divergence accounting
     /// it buys nothing (and the newer state will be quoted on its own).
-    fn retry_superseded(&self, msg: &RefreshMsg) -> bool {
-        if msg.snapshot.updates <= self.truth.truth(msg.obj).cached_updates {
+    fn retry_superseded(&self, truth: &TruthTable, msg: &RefreshMsg) -> bool {
+        if msg.snapshot.updates <= truth.truth(msg.obj).cached_updates {
             return true;
         }
         let aware = self.faults.as_ref().is_some_and(|fl| fl.profile.aware);
@@ -594,27 +652,11 @@ impl CoopSystem {
         u64::from(source.state(local).updates) > msg.snapshot.updates
     }
 
-    /// Handles an outage or crash slot transition.
-    fn on_fault_event(&mut self, now: SimTime, slot: u32) {
-        let (outage_slot, crash_slot_base) = {
-            let fl = self
-                .faults
-                .as_ref()
-                .expect("fault slot without fault layer");
-            (fl.outage_slot, fl.crash_slot_base)
-        };
-        if slot == outage_slot {
-            self.on_outage_transition(now);
-        } else {
-            self.on_crash_transition(now, (slot - crash_slot_base) as usize);
-        }
-    }
-
     /// Outage start: bank credit, suspend accrual, apply the queue
     /// policy. Outage end: resume and attribute the epoch's divergence.
-    fn on_outage_transition(&mut self, now: SimTime) {
+    fn on_outage_transition(&mut self, k: &mut Kernel, now: SimTime) {
         let horizon = self.cfg.horizon();
-        let objects = self.truth.len();
+        let objects = k.truth.len();
         let fl = self.faults.as_mut().expect("outage without fault layer");
         if !fl.outage_active {
             let e = fl.outage.expect("outage start fired without a window");
@@ -630,16 +672,16 @@ impl CoopSystem {
                 self.fault_stats.dropped_in_outage += fl.retries.len() as u64;
                 fl.retries.clear();
             }
-            fl.outage_epoch_start = self.truth.divergence_integral_range(now, 0, objects);
-            self.queue.schedule(fl.outage_slot, SimTime::new(e.end));
+            fl.outage_epoch_start = k.truth.divergence_integral_range(now, 0, objects);
+            k.schedule_aux(OUTAGE_AUX, SimTime::new(e.end));
         } else {
             fl.outage_active = false;
             self.cache_link.resume(now);
             self.fault_stats.epoch_divergence +=
-                self.truth.divergence_integral_range(now, 0, objects) - fl.outage_epoch_start;
+                k.truth.divergence_integral_range(now, 0, objects) - fl.outage_epoch_start;
             fl.outage = fl.outages.next_episode();
             if let Some(e) = fl.outage {
-                self.queue.schedule(fl.outage_slot, SimTime::new(e.start));
+                k.schedule_aux(OUTAGE_AUX, SimTime::new(e.start));
             }
             if fl.profile.aware {
                 // Fault-aware resume: merge due retries into the held
@@ -647,8 +689,8 @@ impl CoopSystem {
                 // queue — highest weighted divergence first — instead of
                 // FIFO-draining a backlog whose order reflects pre-outage
                 // priorities.
-                self.process_retries(now);
-                self.reorder_held_queue(now);
+                self.process_retries(k, now);
+                self.reorder_held_queue(&k.truth, now);
             }
         }
     }
@@ -656,8 +698,7 @@ impl CoopSystem {
     /// Reorders the cache-link backlog by the divergence a delivery
     /// would resolve (`weight × divergence(snapshot, cached)`), the
     /// cache-side analogue of the §8 priority a send was quoted under.
-    fn reorder_held_queue(&mut self, now: SimTime) {
-        let truth = &self.truth;
+    fn reorder_held_queue(&mut self, truth: &TruthTable, now: SimTime) {
         let metric = self.cfg.metric;
         self.cache_link.reorder_queue_by(|msg: &RefreshMsg| {
             let t = truth.truth(msg.obj);
@@ -674,90 +715,64 @@ impl CoopSystem {
     /// Crash start: the sync agent loses its heap and goes silent.
     /// Restart: attribute the epoch's divergence and run the recovery
     /// policy (resync re-quotes everything and bursts catch-up sends).
-    fn on_crash_transition(&mut self, now: SimTime, sid: usize) {
+    fn on_crash_transition(&mut self, k: &mut Kernel, now: SimTime, sid: usize) {
         let horizon = self.cfg.horizon();
         let per_source = self.layout.objects_per_source() as usize;
         let (lo, hi) = (sid * per_source, (sid + 1) * per_source);
-        let resync = {
-            let fl = self.faults.as_mut().expect("crash without fault layer");
-            let slot = fl.crash_slot_base + sid as u32;
-            let cs = &mut fl.crash[sid];
-            if !cs.down {
-                let e = cs.episode.expect("crash start fired without an episode");
-                cs.down = true;
-                self.fault_stats.crashes += 1;
-                self.fault_stats.down_seconds += e.end.min(horizon) - e.start;
-                cs.epoch_start = self.truth.divergence_integral_range(now, lo, hi);
-                self.sources[sid].saturated = false;
-                self.sources[sid].clear_quotes();
-                self.queue.schedule(slot, SimTime::new(e.end));
-                false
-            } else {
-                cs.down = false;
-                self.fault_stats.epoch_divergence +=
-                    self.truth.divergence_integral_range(now, lo, hi) - cs.epoch_start;
-                cs.episode = cs.sched.next_episode();
-                if let Some(e) = cs.episode {
-                    self.queue.schedule(slot, SimTime::new(e.start));
-                }
-                matches!(fl.profile.recovery, RecoveryPolicy::Resync)
-            }
-        };
-        if resync {
+        let fl = self.faults.as_mut().expect("crash without fault layer");
+        let slot = CRASH_AUX_BASE + sid as u32;
+        let cs = &mut fl.crash[sid];
+        if !cs.down {
+            let e = cs.episode.expect("crash start fired without an episode");
+            cs.down = true;
+            self.fault_stats.crashes += 1;
+            self.fault_stats.down_seconds += e.end.min(horizon) - e.start;
+            cs.epoch_start = k.truth.divergence_integral_range(now, lo, hi);
+            self.sources[sid].saturated = false;
+            self.sources[sid].clear_quotes();
+            self.ext.at_crash(sid);
+            k.schedule_aux(slot, SimTime::new(e.end));
+            return;
+        }
+        cs.down = false;
+        self.fault_stats.epoch_divergence +=
+            k.truth.divergence_integral_range(now, lo, hi) - cs.epoch_start;
+        cs.episode = cs.sched.next_episode();
+        if let Some(e) = cs.episode {
+            k.schedule_aux(slot, SimTime::new(e.start));
+        }
+        if matches!(fl.profile.recovery, RecoveryPolicy::Resync) {
             // Cold-restart bulk resync: re-quote every diverged object
             // and let the catch-up burst compete for bandwidth under
             // the ordinary §8 priority scheme.
             self.sources[sid].requote_all(now);
             self.fault_stats.resync_quotes += self.sources[sid].heap.raw_len() as u64;
-            self.attempt_sends(now, sid);
+            self.attempt_sends(k, now, sid);
         }
     }
 
-    fn deliver(&mut self, now: SimTime, msg: RefreshMsg) {
+    fn deliver(&mut self, k: &mut Kernel, now: SimTime, msg: RefreshMsg) {
         if let Some(fl) = &mut self.faults {
             // Ack accounting: the message transited the link, so it
             // counts as delivered for the source's loss-rate estimator
             // even if the recency guard discards it below.
             fl.delivered_per_source[msg.src.index()] += 1;
         }
+        self.refreshes_delivered += 1;
+        self.deliveries_this_tick += 1;
         // Recency guard: a retransmitted lost refresh that arrives after
         // a newer refresh for the same object must not overwrite the
         // fresher cached value. On the fault-free path snapshot update
         // counts are strictly increasing per object across sends and the
         // link is FIFO, so this guard can only fire for retransmissions.
-        if msg.snapshot.updates <= self.truth.truth(msg.obj).cached_updates {
+        if msg.snapshot.updates <= k.truth.truth(msg.obj).cached_updates {
             self.fault_stats.stale_drops += 1;
-            self.refreshes_delivered += 1;
-            self.deliveries_this_tick += 1;
             return;
         }
-        self.truth
+        k.truth
             .apply_refresh(now, msg.obj, msg.snapshot.value, msg.snapshot.updates);
+        self.ext.after_refresh(now, &msg);
         self.cache.observe_threshold(msg.src, msg.threshold);
-        self.refreshes_delivered += 1;
-        self.deliveries_this_tick += 1;
-    }
-
-    fn report(self, horizon: SimTime) -> RunReport {
-        let mut threshold_stats = RunningStats::new();
-        let mut refreshes_sent = 0;
-        for s in &self.sources {
-            threshold_stats.push(s.threshold.value());
-            refreshes_sent += s.sends;
-        }
-        let link_stats = self.cache_link.stats();
-        RunReport {
-            divergence: self.truth.report(horizon),
-            refreshes_sent,
-            refreshes_delivered: self.refreshes_delivered,
-            feedback_messages: self.cache.feedback_sent,
-            polls_sent: 0,
-            max_cache_queue: link_stats.max_queue,
-            mean_queue_wait: link_stats.total_wait / (link_stats.delivered.max(1) as f64),
-            threshold_stats,
-            updates_processed: self.updates_processed,
-            faults: self.fault_stats,
-        }
     }
 }
 
@@ -1032,31 +1047,34 @@ mod tests {
             small_spec(17),
         );
         let obj = ObjectId(0);
-        let src = sys.layout.source_of(obj);
+        let src = sys.proto.layout.source_of(obj);
         let mk = |value: f64, updates: u64| RefreshMsg {
             obj,
             src,
             snapshot: Snapshot { value, updates },
             threshold: 1.0,
         };
-        sys.deliver(SimTime::new(1.0), mk(2.5, 9));
-        assert_eq!(sys.truth.truth(obj).cached_updates, 9);
-        assert_eq!(sys.fault_stats.stale_drops, 0);
-        sys.deliver(SimTime::new(1.5), mk(-4.0, 6));
-        let t = sys.truth.truth(obj);
+        sys.proto
+            .deliver(&mut sys.kernel, SimTime::new(1.0), mk(2.5, 9));
+        assert_eq!(sys.kernel.truth.truth(obj).cached_updates, 9);
+        assert_eq!(sys.proto.fault_stats.stale_drops, 0);
+        sys.proto
+            .deliver(&mut sys.kernel, SimTime::new(1.5), mk(-4.0, 6));
+        let t = sys.kernel.truth.truth(obj);
         assert_eq!(
             t.cached_updates, 9,
             "stale retransmission overwrote the newer refresh"
         );
         assert_eq!(t.cached_value, 2.5);
-        assert_eq!(sys.fault_stats.stale_drops, 1);
+        assert_eq!(sys.proto.fault_stats.stale_drops, 1);
         // An equal-count duplicate is stale too (<=, not <).
-        sys.deliver(SimTime::new(2.0), mk(2.5, 9));
-        assert_eq!(sys.fault_stats.stale_drops, 2);
+        sys.proto
+            .deliver(&mut sys.kernel, SimTime::new(2.0), mk(2.5, 9));
+        assert_eq!(sys.proto.fault_stats.stale_drops, 2);
         // Every arrival transited the link: all three count as delivered
         // and feed the per-source ack counter.
-        assert_eq!(sys.refreshes_delivered, 3);
-        let fl = sys.faults.as_ref().expect("fault layer present");
+        assert_eq!(sys.proto.refreshes_delivered, 3);
+        let fl = sys.proto.faults.as_ref().expect("fault layer present");
         assert_eq!(fl.delivered_per_source[src.index()], 3);
     }
 
@@ -1071,7 +1089,7 @@ mod tests {
             small_spec(18),
         );
         let obj = ObjectId(0);
-        let src = sys.layout.source_of(obj);
+        let src = sys.proto.layout.source_of(obj);
         let mk = |value: f64, updates: u64| RefreshMsg {
             obj,
             src,
@@ -1080,30 +1098,33 @@ mod tests {
         };
         // Two due retries: one that will be superseded, one still fresh.
         {
-            let fl = sys.faults.as_mut().expect("fault layer present");
+            let fl = sys.proto.faults.as_mut().expect("fault layer present");
             fl.retries.push_back((SimTime::new(1.0), mk(1.0, 3)));
             fl.retries.push_back((SimTime::new(1.0), mk(2.0, 8)));
         }
         // While the link is suspended, retries must not burn credit.
-        sys.cache_link.suspend(SimTime::new(2.0));
-        sys.process_retries(SimTime::new(2.0));
-        assert_eq!(sys.faults.as_ref().unwrap().retries.len(), 2);
-        assert_eq!(sys.fault_stats.retransmits, 0);
+        sys.proto.cache_link.suspend(SimTime::new(2.0));
+        sys.proto
+            .process_retries(&mut sys.kernel, SimTime::new(2.0));
+        assert_eq!(sys.proto.faults.as_ref().unwrap().retries.len(), 2);
+        assert_eq!(sys.proto.fault_stats.retransmits, 0);
         // A newer refresh (updates=5) supersedes the first retry only.
-        sys.cache_link.resume(SimTime::new(3.0));
-        sys.deliver(SimTime::new(3.0), mk(5.0, 5));
-        sys.process_retries(SimTime::new(3.0));
-        assert_eq!(sys.fault_stats.superseded_retries, 1);
-        assert_eq!(sys.fault_stats.retransmits, 1);
+        sys.proto.cache_link.resume(SimTime::new(3.0));
+        sys.proto
+            .deliver(&mut sys.kernel, SimTime::new(3.0), mk(5.0, 5));
+        sys.proto
+            .process_retries(&mut sys.kernel, SimTime::new(3.0));
+        assert_eq!(sys.proto.fault_stats.superseded_retries, 1);
+        assert_eq!(sys.proto.fault_stats.retransmits, 1);
         // The surviving retry was re-offered; the loss lane may lose the
         // retransmission itself, in which case it re-queues with a fresh
         // deadline — either way the original entries are gone.
-        let fl = sys.faults.as_ref().expect("fault layer present");
+        let fl = sys.proto.faults.as_ref().expect("fault layer present");
         assert!(fl.retries.len() <= 1);
         if let Some((due, m)) = fl.retries.front() {
             assert_eq!(m.snapshot.updates, 8);
             assert_eq!(*due, SimTime::new(4.0));
-            assert_eq!(sys.fault_stats.lost_refreshes, 1);
+            assert_eq!(sys.proto.fault_stats.lost_refreshes, 1);
         }
     }
 

@@ -12,12 +12,11 @@
 //! Determinism: every run derives from an explicit seed, so tables are
 //! regenerable bit-for-bit.
 //!
-//! Since the PR 2 scheduler unification every system a figure compares —
-//! `CoopSystem`, `IdealSystem`, and the CGM baselines — runs on the same
-//! `CalendarQueue` + indexed-heap stack, so figure regeneration takes
-//! the fast path throughout (speedups recorded in `BENCH_pr2.json`);
-//! CI's experiments-smoke job regenerates the quick fig4/5/6 grids on
-//! every PR.
+//! Every system a figure compares — `CoopSystem`, `IdealSystem`, the
+//! competitive system and the CGM baselines — is a handler on the one
+//! event kernel (`besync::kernel`), so figure regeneration takes the
+//! fast path throughout; CI's experiments-smoke job regenerates the
+//! quick fig4/5/6 grids on every PR.
 
 pub mod bounds;
 pub mod competitive;

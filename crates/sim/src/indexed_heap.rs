@@ -1,13 +1,11 @@
 //! The position-indexed binary heap shared by every scheduler in the
 //! workspace.
 //!
-//! Three schedulers need "at most one entry per small-integer item,
-//! revised **in place**": the source runtimes' priority heap (max by
-//! priority, FIFO on ties), [`SlotQueue`](crate::SlotQueue)'s pending
-//! event set (min by `(time, seq)`), and anything else keyed the same
-//! way. They used to be two near-identical copies of the same sift
-//! machinery differing only in the key type; this module is the single
-//! generic implementation both now wrap.
+//! Schedulers need "at most one entry per small-integer item, revised
+//! **in place**": the source runtimes' priority heap (max by priority,
+//! FIFO on ties, `besync::heap::IndexedMaxHeap`) and anything else keyed
+//! the same way. This module is the single generic sift implementation
+//! they wrap.
 //!
 //! The ordering is supplied by the key type through [`HeapKey::beats`]:
 //! `a.beats(b)` means an entry keyed `a` belongs nearer the root than one

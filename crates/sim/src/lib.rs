@@ -3,9 +3,9 @@
 //!
 //! This crate is deliberately independent of the caching domain: it provides
 //! a simulated clock ([`SimTime`]), deterministic event schedulers (the
-//! generic [`EventQueue`], the bucket-based [`CalendarQueue`] every hot
-//! loop uses, and [`SlotQueue`]), the position-indexed heap those — and
-//! the domain crates' priority schedulers — share ([`IndexedHeap`]),
+//! generic [`EventQueue`] and the bucket-based [`CalendarQueue`] the
+//! simulation event loop uses), the position-indexed heap the domain
+//! crates' priority schedulers share ([`IndexedHeap`]),
 //! time-varying signals ([`Wave`]) used to model fluctuating bandwidth
 //! and weights, seeded RNG streams ([`rng`]), and time-weighted
 //! statistics ([`stats`]) used to measure divergence exactly between
@@ -24,7 +24,7 @@ pub mod signal;
 pub mod stats;
 pub mod time;
 
-pub use calendar::{CalendarQueue, SlotQueue};
+pub use calendar::CalendarQueue;
 pub use events::EventQueue;
 pub use indexed_heap::{HeapKey, IndexedHeap};
 pub use signal::Wave;
