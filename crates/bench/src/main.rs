@@ -4,12 +4,13 @@
 //! end — the [`CoopSystem`] hot path plus the figure-regeneration
 //! schedulers — reports wall-clock time and simulation events per second
 //! for each, and optionally writes a machine-readable JSON trajectory
-//! point (e.g. `BENCH_pr10.json` at the repo root) so successive PRs can
+//! point (e.g. `BENCH_pr14.json` at the repo root) so successive PRs can
 //! be compared with the *same* binary run on both trees.
 //!
 //! ```text
 //! besync-bench [--out PATH] [--compare PATH] [--tolerance F]
 //!              [--only NAME] [--repeat N] [--quick] [--list]
+//! besync-bench verify ...   (statistical acceptance; see `verify --help`)
 //! ```
 //!
 //! An *event* is one unit of simulation work: a source-side update, a
@@ -31,11 +32,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use besync::fault::{FaultProfile, RecoveryPolicy};
+use besync::RunReport;
 use besync_scenarios::{by_name, suite, ScenarioSpec, SystemKind};
-use besync_sweep::{sweep, Shards, SweepOptions, SweepOutcome, TransportKind};
+use besync_sweep::{sweep, Shards, SweepOptions};
 use besync_verify::{check_scenario, collect, ScenarioStats, StatBaseline, Tier};
 
 /// Counting shim over the system allocator: live-bytes plus a
@@ -130,86 +132,6 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A/B microbench of the CGM re-allocation step at the `cgm_bench`
-/// regime (2048 objects, rates uniform in [0.02, 1.0], budget 614
-/// refreshes/s): the shipped Newton solve against the retired double
-/// bisection, reconstructed from the retained `invert_g_bisect`
-/// oracle (core solve only — no residual pass — so the measured
-/// speedup under-reports slightly). Minimum of five reps each;
-/// recorded in the bench JSON as `cgm_alloc` so allocator-speedup
-/// claims are pinned to a measurement, not a recollection.
-fn cgm_alloc_ab() -> (usize, f64, f64) {
-    use besync_baselines::freshness::{allocate, invert_g_bisect};
-    let n = 2048usize;
-    let budget = 614.0f64;
-    let mut state = 0x00c0_ffeeu64;
-    let rates: Vec<f64> = (0..n)
-        .map(|_| {
-            state = splitmix64(state);
-            0.02 + (state >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0) * 0.98
-        })
-        .collect();
-
-    let bisect_allocate = |rates: &[f64], budget: f64| -> Vec<f64> {
-        let freq_for = |lambda: f64, mu: f64| -> f64 {
-            let y = mu * lambda;
-            if y >= 1.0 {
-                return 0.0;
-            }
-            let r = invert_g_bisect(y);
-            if r <= 0.0 {
-                0.0
-            } else {
-                lambda / r
-            }
-        };
-        let total_for = |mu: f64| -> f64 {
-            let mut sum = 0.0;
-            for &l in rates {
-                sum += freq_for(l, mu);
-                if sum > budget {
-                    return f64::INFINITY;
-                }
-            }
-            sum
-        };
-        let mut hi = 1.0 / rates.iter().copied().fold(f64::INFINITY, f64::min);
-        while total_for(hi) > budget {
-            hi *= 2.0;
-        }
-        let mut lo = hi;
-        while total_for(lo) < budget {
-            lo /= 2.0;
-        }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            let converged = mid == lo || mid == hi;
-            if total_for(mid) > budget {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            if converged {
-                break;
-            }
-        }
-        rates.iter().map(|&l| freq_for(l, hi)).collect()
-    };
-
-    let time = |f: &dyn Fn() -> Vec<f64>| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let newton = time(&|| allocate(&rates, budget));
-    let bisect = time(&|| bisect_allocate(&rates, budget));
-    (n, newton, bisect)
-}
-
 /// Fixed floating-point microbenchmark, wall-clocked: a deterministic
 /// mix of the simulator's hot arithmetic (`ln`, `exp`, Welford-style
 /// accumulation over a splitmix64 stream). Recorded in the bench JSON
@@ -238,15 +160,14 @@ fn calibration_seconds() -> f64 {
 }
 
 /// Runs the scenario `repeats` times and reports the median wall clock
-/// (event loop and construction separately). Counters must agree
-/// bit-for-bit across repeats (same seed ⇒ same simulation); a mismatch
-/// aborts, because it means the tree has lost determinism and its
-/// timings compare nothing.
+/// (event loop and construction separately). Reports must agree bit for
+/// bit across repeats (same seed ⇒ same simulation); a mismatch aborts,
+/// because it means the tree has lost determinism and its timings
+/// compare nothing.
 fn run_scenario(scenario: &ScenarioSpec, repeats: usize) -> ScenarioResult {
     let mut walls = Vec::with_capacity(repeats);
     let mut builds = Vec::with_capacity(repeats);
-    let mut reference: Option<(u64, u64, u64, f64)> = None;
-    let mut last = None;
+    let mut last: Option<RunReport> = None;
     // Per-scenario allocation peak: every repeat replays the same
     // simulation, so the high-water mark after the loop is the single
     // repeat's peak, not a sum.
@@ -260,19 +181,11 @@ fn run_scenario(scenario: &ScenarioSpec, repeats: usize) -> ScenarioResult {
         let wall = start.elapsed().as_secs_f64();
         builds.push(build);
         walls.push(wall);
-        let fingerprint = (
-            report.updates_processed,
-            report.refreshes_sent,
-            report.feedback_messages,
-            report.mean_divergence(),
-        );
-        match &reference {
-            None => reference = Some(fingerprint),
-            Some(r) => assert_eq!(
-                *r, fingerprint,
-                "scenario `{}` is non-deterministic across repeats",
+        if let Some(field) = last.as_ref().and_then(|l| l.first_difference(&report)) {
+            panic!(
+                "scenario `{}` is non-deterministic across repeats: `{field}` differs",
                 scenario.name
-            ),
+            );
         }
         last = Some(report);
     }
@@ -292,11 +205,7 @@ fn run_scenario(scenario: &ScenarioSpec, repeats: usize) -> ScenarioResult {
         wall_seconds: wall,
         events,
         events_per_sec: events as f64 / wall.max(1e-12),
-        updates: report.updates_processed,
-        refreshes_sent: report.refreshes_sent,
-        refreshes_delivered: report.refreshes_delivered,
-        feedback: report.feedback_messages,
-        mean_divergence: report.mean_divergence(),
+        report,
         mem_bytes: peak_rss_bytes(),
         alloc_peak_bytes: alloc_peak_bytes(),
         baseline_events_per_sec: None,
@@ -315,11 +224,9 @@ struct ScenarioResult {
     wall_seconds: f64,
     events: u64,
     events_per_sec: f64,
-    updates: u64,
-    refreshes_sent: u64,
-    refreshes_delivered: u64,
-    feedback: u64,
-    mean_divergence: f64,
+    /// The in-process run's full report: the JSON counters are read from
+    /// it, and the `--shards` grid must reproduce every field of it.
+    report: RunReport,
     /// Process peak RSS (`VmHWM`) sampled after the scenario ran —
     /// monotone across the whole invocation, 0 off-linux.
     mem_bytes: u64,
@@ -363,11 +270,11 @@ impl ScenarioResult {
             self.wall_seconds,
             self.events,
             self.events_per_sec,
-            self.updates,
-            self.refreshes_sent,
-            self.refreshes_delivered,
-            self.feedback,
-            self.mean_divergence,
+            self.report.updates_processed,
+            self.report.refreshes_sent,
+            self.report.refreshes_delivered,
+            self.report.feedback_messages,
+            self.report.mean_divergence(),
             self.mem_bytes,
             self.alloc_peak_bytes,
         );
@@ -404,8 +311,7 @@ struct BaselineScenario {
     feedback: u64,
     mean_divergence: f64,
     events_per_sec: f64,
-    /// Absent in baselines recorded before the v5 schema.
-    alloc_peak_bytes: Option<u64>,
+    alloc_peak_bytes: u64,
 }
 
 /// Parses a `besync-bench` JSON file into per-scenario baselines.
@@ -425,7 +331,7 @@ fn parse_baseline(text: &str) -> Option<(bool, Vec<BaselineScenario>)> {
             feedback: parse("feedback")? as u64,
             mean_divergence: parse("mean_divergence")?,
             events_per_sec: parse("events_per_sec")?,
-            alloc_peak_bytes: field(block, "alloc_peak_bytes").and_then(|v| v.parse().ok()),
+            alloc_peak_bytes: field(block, "alloc_peak_bytes")?.parse().ok()?,
         });
     }
     Some((quick, out))
@@ -496,11 +402,12 @@ fn compare_against_baseline(
             );
             continue;
         }
-        let counters_match = b.updates == r.updates
-            && b.refreshes_sent == r.refreshes_sent
-            && b.refreshes_delivered == r.refreshes_delivered
-            && b.feedback == r.feedback
-            && (b.mean_divergence - r.mean_divergence).abs() < 1e-8;
+        let cur = &r.report;
+        let counters_match = b.updates == cur.updates_processed
+            && b.refreshes_sent == cur.refreshes_sent
+            && b.refreshes_delivered == cur.refreshes_delivered
+            && b.feedback == cur.feedback_messages
+            && (b.mean_divergence - cur.mean_divergence()).abs() < 1e-8;
         if !counters_match {
             mismatches.push(format!(
                 "`{}`: counters diverge from {baseline_path} — baseline \
@@ -512,11 +419,11 @@ fn compare_against_baseline(
                 b.refreshes_delivered,
                 b.feedback,
                 b.mean_divergence,
-                r.updates,
-                r.refreshes_sent,
-                r.refreshes_delivered,
-                r.feedback,
-                r.mean_divergence,
+                cur.updates_processed,
+                cur.refreshes_sent,
+                cur.refreshes_delivered,
+                cur.feedback_messages,
+                cur.mean_divergence(),
             ));
             continue;
         }
@@ -547,7 +454,8 @@ fn compare_against_baseline(
         // Memory trajectory, report-only like the perf line: allocation
         // peaks are deterministic in principle but allocator-version
         // sensitive, so they inform rather than gate.
-        if let Some(base_alloc) = b.alloc_peak_bytes.filter(|&b| b > 0) {
+        if b.alloc_peak_bytes > 0 {
+            let base_alloc = b.alloc_peak_bytes;
             let mem_ratio = r.alloc_peak_bytes as f64 / base_alloc as f64;
             let mb = 1.0 / (1024.0 * 1024.0);
             if mem_ratio > 1.0 + tolerance {
@@ -575,37 +483,6 @@ fn compare_against_baseline(
     } else {
         Err(mismatches)
     }
-}
-
-/// Verifies a sharded sweep outcome replays the in-process measurement
-/// exactly: every counter equal, mean divergence bit-identical. Any
-/// difference means the worker pipeline (codec, protocol, merge order)
-/// changed the simulation — lost determinism.
-fn check_sharded_counters(classic: &ScenarioResult, sharded: &SweepOutcome) -> Result<(), String> {
-    let r = &sharded.report;
-    let pairs = [
-        ("updates", classic.updates, r.updates_processed),
-        ("refreshes_sent", classic.refreshes_sent, r.refreshes_sent),
-        (
-            "refreshes_delivered",
-            classic.refreshes_delivered,
-            r.refreshes_delivered,
-        ),
-        ("feedback", classic.feedback, r.feedback_messages),
-    ];
-    for (name, a, b) in pairs {
-        if a != b {
-            return Err(format!("{name} {a} in-process vs {b} sharded"));
-        }
-    }
-    if classic.mean_divergence.to_bits() != r.mean_divergence().to_bits() {
-        return Err(format!(
-            "mean divergence {:.12} in-process vs {:.12} sharded (bit mismatch)",
-            classic.mean_divergence,
-            r.mean_divergence()
-        ));
-    }
-    Ok(())
 }
 
 /// Levenshtein edit distance, small-string flavour (scenario names are
@@ -653,7 +530,7 @@ usage: besync-bench [--out PATH] [--compare PATH] [--tolerance F]
                     [--only NAME] [--repeat N] [--quick] [--shards LIST]
                     [--workers pipes|tcp[://HOST:PORT]] [--spec-deadline SECS]
                     [--list] [--fault-sweep]
-       besync-bench verify [--accept bits|stats] ...   (see `verify --help`)
+       besync-bench verify ...   (statistical acceptance; see `verify --help`)
 
   --out PATH       write results as JSON (e.g. BENCH_prN.json); never run this
                    against a checked-in baseline path in CI — write elsewhere
@@ -689,57 +566,45 @@ usage: besync-bench [--out PATH] [--compare PATH] [--tolerance F]
                    refresh-loss lane (honours --quick; ignores the
                    measurement flags)
 
-verification: the `verify` subcommand unifies the repo's two acceptance
-tiers under one flag surface. `verify --accept bits` replays the suite and
-demands bit-identical counters against a bench JSON baseline (what
-`--compare` has always gated; that flag remains as the inline spelling).
-`verify --accept stats` runs scenarios across N derived seeds and checks
-metric moments against STATS_baseline.txt — the gate that survives
+verification: `--compare` is the bit gate — it demands every counter a
+bench JSON baseline holds be reproduced exactly, right for refactors that
+promise not to move the simulation at all. `besync-bench verify` is the
+statistical gate — it runs scenarios across N derived seeds and checks
+metric moments against STATS_baseline.txt, the gate that survives
 intentional numerics changes. See `besync-bench verify --help`.";
 
 const VERIFY_HELP: &str = "\
-besync-bench verify — counter-identity and statistical acceptance gates
+besync-bench verify — statistical acceptance gate
 
-usage: besync-bench verify [--accept bits|stats] [--baseline PATH]
-                           [--scenarios A,B,..] [--seeds N]
-                           [--tier strict|standard|loose] [--record]
-                           [--tolerance F] [--repeat N] [--quick]
+usage: besync-bench verify [--baseline PATH] [--scenarios A,B,..] [--seeds N]
+                           [--tier strict|standard|loose] [--record] [--quick]
                            [--shards N] [--workers pipes|tcp[://HOST:PORT]]
                            [--spec-deadline SECS]
 
-  --accept bits    tier 1, bit identity: run the bench suite once and demand
-                   every counter match the bench-JSON baseline(s) exactly
-                   (events/sec deltas are report-only, counters hard-fail).
-                   Needs at least one --baseline pointing at a BENCH_*.json.
-                   Catches *any* trajectory change; right for refactors that
-                   promise not to move the simulation at all.
-  --accept stats   tier 2, distribution identity (default): run each scenario
-                   across N derived seeds, fold the recorded metrics into
-                   moments, and z-check them against the stored baseline.
-                   Right for intentional numerics changes (solver swaps,
-                   resampled randomness) whose physics must not move.
-  --baseline PATH  bits: bench JSON baseline; repeatable, all are checked.
-                   stats: the moments file (default STATS_baseline.txt)
-  --scenarios L    stats: comma-separated scenario names (default: the four
+Runs each scenario across N derived seeds, folds the recorded metrics into
+moments, and z-checks them against the stored baseline. Right for
+intentional numerics changes (solver swaps, resampled randomness) whose
+physics must not move; for changes that must not move the simulation at
+all, use `besync-bench --compare BENCH_*.json` instead.
+
+  --baseline PATH  the moments file (default STATS_baseline.txt)
+  --scenarios L    comma-separated scenario names (default: the four
                    medium scheduler scenarios + the four fault regimes
                    lossy/outage/lossy_aware/competitive_lossy)
-  --seeds N        stats: derived seeds per scenario (default 32)
-  --tier T         stats: acceptance tier — strict (z<=3, refactors),
-                   standard (z<=4, numerics changes; default), loose (z<=6,
-                   small-N smoke)
-  --record         stats: write/refresh the baseline entries instead of
-                   checking (commit the file alongside the change)
-  --tolerance F    bits: allowed fractional events/sec regression, report-only
-                   (default 0.25)
-  --repeat N       bits: repeats per scenario (default 1)
-  --quick          CI smoke scale for either tier; stats baselines store
-                   quick and full entries separately
+  --seeds N        derived seeds per scenario (default 32)
+  --tier T         acceptance tier — strict (z<=3, refactors), standard
+                   (z<=4, numerics changes; default), loose (z<=6, small-N
+                   smoke)
+  --record         write/refresh the baseline entries instead of checking
+                   (commit the file alongside the change)
+  --quick          CI smoke scale; baselines store quick and full entries
+                   separately
   --shards N       run the underlying sweeps over N worker processes
   --workers KIND   worker channel for --shards (pipes | tcp[://HOST:PORT])
   --spec-deadline  per-spec worker deadline in seconds (0 disables)";
 
 /// Runs each selected scenario and prints the per-scenario table row by
-/// row (shared by the main flow and `verify --accept bits`).
+/// row.
 fn run_table(selected: &[ScenarioSpec], repeats: usize) -> Vec<ScenarioResult> {
     println!(
         "{:<15} {:>9} {:>8} {:>10} {:>10} {:>11} {:>12} {:>11} {:>10} {:>10}",
@@ -766,8 +631,8 @@ fn run_table(selected: &[ScenarioSpec], repeats: usize) -> Vec<ScenarioResult> {
             r.build_seconds,
             r.wall_seconds,
             r.events_per_sec,
-            r.refreshes_sent,
-            r.mean_divergence,
+            r.report.refreshes_sent,
+            r.report.mean_divergence(),
             r.alloc_peak_bytes as f64 / (1024.0 * 1024.0)
         );
         results.push(r);
@@ -859,8 +724,7 @@ fn main() -> std::process::ExitCode {
     let mut want_fault_sweep = false;
     let mut repeats: Option<usize> = None;
     let mut shards_grid: Vec<Shards> = Vec::new();
-    let mut transport = TransportKind::Pipes;
-    let mut spec_deadline = SweepOptions::default().spec_deadline;
+    let mut sweep_opts = SweepOptions::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -899,26 +763,11 @@ fn main() -> std::process::ExitCode {
                     }
                 }
             }
-            "--workers" => {
+            flag @ ("--workers" | "--spec-deadline") => {
                 let v = args.next().unwrap_or_default();
-                match TransportKind::parse(&v) {
-                    Ok(t) => transport = t,
-                    Err(e) => {
-                        eprintln!("--workers: {e}");
-                        return std::process::ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--spec-deadline" => {
-                let v = args.next().unwrap_or_default();
-                match v.parse::<f64>() {
-                    Ok(secs) if secs.is_finite() && secs >= 0.0 => {
-                        spec_deadline = (secs > 0.0).then(|| Duration::from_secs_f64(secs));
-                    }
-                    _ => {
-                        eprintln!("--spec-deadline needs seconds (0 disables the deadline)");
-                        return std::process::ExitCode::FAILURE;
-                    }
+                if let Err(e) = sweep_opts.apply_flag(flag, &v) {
+                    eprintln!("{e}");
+                    return std::process::ExitCode::FAILURE;
                 }
             }
             "--list" => {
@@ -982,9 +831,7 @@ fn main() -> std::process::ExitCode {
     for &shards in &shards_grid {
         let opts = SweepOptions {
             shards,
-            transport: transport.clone(),
-            spec_deadline,
-            ..SweepOptions::default()
+            ..sweep_opts.clone()
         };
         let start = Instant::now();
         let outcomes = match sweep(&selected, &opts).map(|run| run.into_outcomes()) {
@@ -999,9 +846,13 @@ fn main() -> std::process::ExitCode {
         };
         let wall = start.elapsed().as_secs_f64();
         for (r, o) in results.iter().zip(&outcomes) {
-            if let Err(reason) = check_sharded_counters(r, o) {
+            // Any field differing from the in-process report means the
+            // worker pipeline (codec, protocol, merge order) changed the
+            // simulation — lost determinism.
+            if let Some(field) = r.report.first_difference(&o.report) {
                 eprintln!(
-                    "shards={}: DETERMINISM MISMATCH `{}`: {reason}",
+                    "shards={}: DETERMINISM MISMATCH `{}`: `{field}` differs between the \
+                     in-process and the sharded report",
                     shards.count(),
                     r.name
                 );
@@ -1054,21 +905,10 @@ fn main() -> std::process::ExitCode {
                 .collect();
             format!("  \"shards_grid\": [\n{}\n  ],\n", entries.join(",\n"))
         };
-        let (alloc_n, alloc_newton, alloc_bisect) = cgm_alloc_ab();
-        eprintln!(
-            "cgm alloc ({alloc_n} objects): newton {:.6}s, bisect {:.6}s, {:.1}x",
-            alloc_newton,
-            alloc_bisect,
-            alloc_bisect / alloc_newton
-        );
         let json = format!(
-            "{{\n  \"schema\": \"besync-bench/v5\",\n  \"quick\": {},\n  \"calibration_seconds\": {:.6},\n  \"cgm_alloc\": {{ \"objects_ab\": {}, \"newton_seconds\": {:.6}, \"bisect_seconds\": {:.6}, \"speedup\": {:.1} }},\n{}  \"scenarios\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"schema\": \"besync-bench/v6\",\n  \"quick\": {},\n  \"calibration_seconds\": {:.6},\n{}  \"scenarios\": [\n{}\n  ]\n}}\n",
             quick,
             calibration.unwrap_or_else(calibration_seconds),
-            alloc_n,
-            alloc_newton,
-            alloc_bisect,
-            alloc_bisect / alloc_newton,
             shards_json,
             body.join(",\n")
         );
@@ -1085,46 +925,36 @@ fn main() -> std::process::ExitCode {
     }
 }
 
-/// Default scenario set for `verify --accept stats`: the headline coop
-/// scenario plus one per figure-regeneration scheduler (so the gate
-/// covers every system kind the optimizations touch) plus the medium
-/// fault regimes (so it also covers the loss and outage physics, the
-/// fault-aware estimator, and lossy competitive splits).
+/// Default scenario set for `verify`: the headline coop scenario plus
+/// one per figure-regeneration scheduler (so the gate covers every
+/// system kind the optimizations touch) plus the medium fault regimes
+/// (so it also covers the loss and outage physics, the fault-aware
+/// estimator, and lossy competitive splits).
 const STATS_SCENARIOS: &str = "medium,ideal_medium,cgm1_medium,cgm2_medium,\
      lossy_medium,outage_medium,lossy_aware_medium,competitive_lossy";
 
 /// Default stats baseline path, repo-root-relative (like BENCH_*.json).
 const STATS_BASELINE: &str = "STATS_baseline.txt";
 
-/// The `verify` subcommand: both acceptance tiers behind one flag
-/// surface (`--accept bits|stats`).
+/// The `verify` subcommand: the statistical acceptance tier.
 fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
     let fail = |msg: &str| {
         eprintln!("{msg}\n{VERIFY_HELP}");
         std::process::ExitCode::FAILURE
     };
-    let mut accept = "stats".to_string();
-    let mut baselines: Vec<String> = Vec::new();
+    let mut baseline: Option<String> = None;
     let mut scenarios = STATS_SCENARIOS.to_string();
     let mut seeds: u32 = 32;
     let mut tier = Tier::Standard;
     let mut record = false;
     let mut quick = false;
-    let mut tolerance = 0.25;
-    let mut repeats: usize = 1;
-    let mut shards = Shards::InProcess;
-    let mut transport = TransportKind::Pipes;
-    let mut spec_deadline = SweepOptions::default().spec_deadline;
+    let mut opts = SweepOptions::default();
     let mut args = argv.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--accept" => match args.next().as_deref() {
-                Some("bits") => accept = "bits".into(),
-                Some("stats") => accept = "stats".into(),
-                _ => return fail("--accept needs `bits` or `stats`"),
-            },
             "--baseline" => match args.next() {
-                Some(p) => baselines.push(p),
+                Some(p) if baseline.is_none() => baseline = Some(p),
+                Some(_) => return fail("verify takes at most one --baseline"),
                 None => return fail("--baseline needs a path"),
             },
             "--scenarios" => match args.next() {
@@ -1141,35 +971,9 @@ fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
             },
             "--record" => record = true,
             "--quick" => quick = true,
-            "--tolerance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => tolerance = t,
-                _ => return fail("--tolerance needs a fraction in [0, 1)"),
-            },
-            "--repeat" => match args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                Some(n) => repeats = n,
-                None => return fail("--repeat needs a positive integer"),
-            },
-            "--shards" => match args.next().and_then(|v| Shards::parse(&v)) {
-                Some(s) => shards = s,
-                None => return fail("--shards needs a worker count (0 = in-process)"),
-            },
-            "--workers" => {
-                let v = args.next().unwrap_or_default();
-                match TransportKind::parse(&v) {
-                    Ok(t) => transport = t,
-                    Err(e) => {
-                        eprintln!("--workers: {e}");
-                        return std::process::ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--spec-deadline" => {
-                let v = args.next().unwrap_or_default();
-                match v.parse::<f64>() {
-                    Ok(secs) if secs.is_finite() && secs >= 0.0 => {
-                        spec_deadline = (secs > 0.0).then(|| Duration::from_secs_f64(secs));
-                    }
-                    _ => return fail("--spec-deadline needs seconds (0 disables)"),
+            flag @ ("--shards" | "--workers" | "--spec-deadline") => {
+                if let Err(e) = opts.apply_flag(flag, &args.next().unwrap_or_default()) {
+                    return fail(&e);
                 }
             }
             "--help" | "-h" => {
@@ -1179,91 +983,24 @@ fn verify_main(argv: Vec<String>) -> std::process::ExitCode {
             other => return fail(&format!("unexpected argument `{other}`")),
         }
     }
-    let opts = SweepOptions {
-        shards,
-        transport,
-        spec_deadline,
-        ..SweepOptions::default()
-    };
-    match accept.as_str() {
-        "bits" => verify_bits(&baselines, quick, tolerance, repeats),
-        _ => verify_stats(&scenarios, seeds, quick, tier, record, &baselines, &opts),
-    }
+    let path = baseline.as_deref().unwrap_or(STATS_BASELINE);
+    verify_stats(&scenarios, seeds, quick, tier, record, path.as_ref(), &opts)
 }
 
-/// Tier 1: counter identity against bench-JSON baselines — the same
-/// gate `--compare` applies inline, behind the unified verify UX.
-fn verify_bits(
-    baselines: &[String],
-    quick: bool,
-    tolerance: f64,
-    repeats: usize,
-) -> std::process::ExitCode {
-    if baselines.is_empty() {
-        eprintln!("verify --accept bits needs at least one --baseline BENCH_*.json");
-        return std::process::ExitCode::FAILURE;
-    }
-    let selected: Vec<ScenarioSpec> = suite()
-        .into_iter()
-        .map(|s| if quick { s.quick() } else { s })
-        .collect();
-    let mut results = run_table(&selected, repeats);
-    let calibration = Some(calibration_seconds());
-    let mut failed = false;
-    for path in baselines {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                if let Err(mismatches) = compare_against_baseline(
-                    &mut results,
-                    &text,
-                    path,
-                    quick,
-                    tolerance,
-                    calibration,
-                ) {
-                    for m in &mismatches {
-                        eprintln!("verify[bits]: DETERMINISM MISMATCH {m}");
-                    }
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: could not read baseline {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        eprintln!("verify[bits]: FAILED");
-        std::process::ExitCode::FAILURE
-    } else {
-        eprintln!(
-            "verify[bits]: ok — counters identical across {} baseline(s)",
-            baselines.len()
-        );
-        std::process::ExitCode::SUCCESS
-    }
-}
-
-/// Tier 2: statistical acceptance — metric moments across derived seeds
-/// against the stored stats baseline.
+/// Statistical acceptance — metric moments across derived seeds against
+/// the stored stats baseline.
 fn verify_stats(
     scenarios: &str,
     seeds: u32,
     quick: bool,
     tier: Tier,
     record: bool,
-    baselines: &[String],
+    path: &std::path::Path,
     opts: &SweepOptions,
 ) -> std::process::ExitCode {
-    if baselines.len() > 1 {
-        eprintln!("verify --accept stats takes at most one --baseline");
-        return std::process::ExitCode::FAILURE;
-    }
-    let path = std::path::PathBuf::from(baselines.first().map_or(STATS_BASELINE, String::as_str));
     let names: Vec<&str> = scenarios.split(',').filter(|s| !s.is_empty()).collect();
     if names.is_empty() {
-        eprintln!("verify --accept stats: no scenarios selected");
+        eprintln!("verify: no scenarios selected");
         return std::process::ExitCode::FAILURE;
     }
     let mut collected: Vec<ScenarioStats> = Vec::new();
@@ -1298,7 +1035,7 @@ fn verify_stats(
     }
     if record {
         let mut baseline = if path.exists() {
-            match StatBaseline::load(&path) {
+            match StatBaseline::load(path) {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("verify[stats]: {e}");
@@ -1311,7 +1048,7 @@ fn verify_stats(
         for stats in collected {
             baseline.upsert(stats);
         }
-        if let Err(e) = baseline.save(&path) {
+        if let Err(e) = baseline.save(path) {
             eprintln!("verify[stats]: {e}");
             return std::process::ExitCode::FAILURE;
         }
@@ -1322,7 +1059,7 @@ fn verify_stats(
         );
         return std::process::ExitCode::SUCCESS;
     }
-    let baseline = match StatBaseline::load(&path) {
+    let baseline = match StatBaseline::load(path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("verify[stats]: {e} (record one with --record)");

@@ -405,12 +405,7 @@ mod tests {
         // A zero-intensity profile must match `None` exactly: the lane
         // draws change no delivery outcome at prob 0.
         let gated = lossy_run(Some(FaultProfile::default()));
-        assert_eq!(
-            clean.mean_divergence().to_bits(),
-            gated.mean_divergence().to_bits()
-        );
-        assert_eq!(clean.refreshes_sent, gated.refreshes_sent);
-        assert!(!gated.faults.any());
+        assert_eq!(clean.first_difference(&gated), None);
     }
 
     fn build(fault: Option<FaultProfile>, psi: f64, policy: SharePolicy) -> CompetitiveSystem {
@@ -426,47 +421,6 @@ mod tests {
             },
             spec,
         )
-    }
-
-    /// Every `RunReport` field, floats by bit pattern.
-    fn bits(r: &RunReport) -> Vec<u64> {
-        let (d, t, f) = (&r.divergence, r.threshold_stats.to_raw(), &r.faults);
-        let floats = [
-            d.total_unweighted,
-            d.total_weighted,
-            d.mean_unweighted,
-            d.mean_weighted,
-            d.max_unweighted,
-            r.mean_queue_wait,
-            t.mean,
-            t.m2,
-            t.min,
-            t.max,
-            f.outage_seconds,
-            f.down_seconds,
-            f.epoch_divergence,
-        ];
-        let counts = [
-            d.objects as u64,
-            d.refreshes_applied,
-            r.refreshes_sent,
-            r.refreshes_delivered,
-            r.feedback_messages,
-            r.polls_sent,
-            r.max_cache_queue as u64,
-            r.updates_processed,
-            t.count,
-            f.lost_refreshes,
-            f.retransmits,
-            f.outages,
-            f.dropped_in_outage,
-            f.crashes,
-            f.missed_updates,
-            f.resync_quotes,
-            f.stale_drops,
-            f.superseded_retries,
-        ];
-        floats.iter().map(|x| x.to_bits()).chain(counts).collect()
     }
 
     #[test]
@@ -488,7 +442,8 @@ mod tests {
             .run();
             for policy in [SharePolicy::EqualShare, SharePolicy::ProportionalToValue] {
                 let psi0 = build(fault, 0.0, policy).run_report();
-                assert_eq!(bits(&psi0), bits(&coop), "{policy:?}, fault {fault:?}");
+                let diff = psi0.first_difference(&coop);
+                assert_eq!(diff, None, "{policy:?}, fault {fault:?}");
             }
         }
     }
@@ -510,7 +465,7 @@ mod tests {
             });
             let run = || build(fault, 0.4, SharePolicy::ProportionalToValue).run_report();
             let (a, b) = (run(), run());
-            assert_eq!(bits(&a), bits(&b), "{recovery:?} not deterministic");
+            assert_eq!(a.first_difference(&b), None, "{recovery:?}");
             assert!(a.faults.outages > 0 && a.faults.crashes > 0);
             assert!(a.faults.lost_refreshes > 0 && a.faults.missed_updates > 0);
             // Every link transit ends delivered, lost, queued or dropped.

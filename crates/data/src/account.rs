@@ -395,7 +395,7 @@ impl TruthTable {
 }
 
 /// Summary of time-averaged divergence over the measurement window.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DivergenceReport {
     /// Number of objects.
     pub objects: usize,

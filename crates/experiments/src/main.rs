@@ -20,24 +20,7 @@ use std::process::ExitCode;
 
 use besync_experiments::output::{render_table, write_csv, Row};
 use besync_experiments::{bounds, competitive, fig4, fig5, fig6, params, sampling, validate, Mode};
-use besync_sweep::{Shards, SweepOptions, TransportKind};
-
-/// Parses `--spec-deadline` seconds: a positive number (fractions
-/// allowed) bounds each spec's worker service time; `0` disables the
-/// deadline entirely.
-fn parse_deadline(v: &str) -> Result<Option<std::time::Duration>, String> {
-    let secs: f64 = v
-        .parse()
-        .map_err(|_| "expected seconds (0 disables the deadline)".to_string())?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err("expected a finite, non-negative number of seconds".to_string());
-    }
-    Ok(if secs == 0.0 {
-        None
-    } else {
-        Some(std::time::Duration::from_secs_f64(secs))
-    })
-}
+use besync_sweep::SweepOptions;
 
 struct Manifest<'a> {
     experiment: &'a str,
@@ -221,34 +204,11 @@ fn main() -> ExitCode {
                 }
             },
             "--out" => opts.out = PathBuf::from(it.next().unwrap_or_default()),
-            "--shards" => {
+            flag @ ("--shards" | "--workers" | "--spec-deadline") => {
                 let v = it.next().unwrap_or_default();
-                match Shards::parse(&v) {
-                    Some(s) => opts.sweep.shards = s,
-                    None => {
-                        eprintln!("invalid --shards `{v}` (0 = in-process, N = worker processes)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--workers" => {
-                let v = it.next().unwrap_or_default();
-                match TransportKind::parse(&v) {
-                    Ok(t) => opts.sweep.transport = t,
-                    Err(e) => {
-                        eprintln!("invalid --workers `{v}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--spec-deadline" => {
-                let v = it.next().unwrap_or_default();
-                match parse_deadline(&v) {
-                    Ok(d) => opts.sweep.spec_deadline = d,
-                    Err(e) => {
-                        eprintln!("invalid --spec-deadline `{v}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                if let Err(e) = opts.sweep.apply_flag(flag, &v) {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
                 }
             }
             "--help" | "-h" => {

@@ -1,13 +1,23 @@
-//! Plain-text scenario serialization.
+//! Plain-text scenario and report serialization.
 //!
-//! A [`ScenarioSpec`] is the unit a future process-sharded sweep runner
-//! will ship to workers, so it must survive a trip through a pipe with
-//! no external dependencies (the workspace vendors no serde). The format
-//! is one `key value` pair per line, values running to end-of-line;
-//! floats are printed with Rust's shortest round-trip formatting, so
-//! decoding reproduces *bit-identical* parameters — and therefore, by
-//! the determinism the whole repo is built on, bit-identical
-//! trajectories on the far side of the pipe.
+//! A [`ScenarioSpec`] is the unit the process-sharded sweep runner ships
+//! to workers, and a [`RunReport`] is what comes back, so both must
+//! survive a trip through a pipe with no external dependencies (the
+//! workspace vendors no serde). The format is one `key value` pair per
+//! line, values running to end-of-line; floats are printed with Rust's
+//! shortest round-trip formatting, so decoding reproduces *bit-identical*
+//! parameters — and therefore, by the determinism the whole repo is built
+//! on, bit-identical trajectories on the far side of the pipe.
+//!
+//! Each struct's field list exists once, as a *walk* that presents every
+//! scalar as `(wire key, &mut field)` in wire order: [`walk_spec`] here,
+//! [`RunReport::walk`] beside the report. The encoders drive a walk with
+//! a visitor that writes each field, the decoders with one that
+//! overwrites it, the property tests with one that fills it from random
+//! draws — so none of them can disagree about a key, a width or a
+//! condition. The rule for growing the schema: **a new field = the struct
+//! field plus one line in the walk** (both walks destructure
+//! exhaustively, so the struct field alone does not compile).
 //!
 //! Limitations, by design: [`Metric::Deviation`] carries a function
 //! pointer and encodes as `deviation`, which decodes to the standard
@@ -15,14 +25,16 @@
 //! registered scenario uses. Encoding a scenario with a custom deviation
 //! function is an error.
 
+use std::fmt::Write;
+use std::str::FromStr;
+
 use besync::cache::partition::SharePolicy;
-use besync::fault::{FaultProfile, FaultSummary, RecoveryPolicy};
+use besync::fault::{FaultProfile, RecoveryPolicy};
 use besync::priority::{PolicyKind, RateEstimator};
+use besync::report::Slot;
 use besync::RunReport;
-use besync_data::account::DivergenceReport;
 use besync_data::metric::abs_deviation;
 use besync_data::Metric;
-use besync_sim::stats::{RawRunningStats, RunningStats};
 use besync_workloads::buoy::BuoyConfig;
 
 use crate::spec::{ScenarioSpec, SystemKind, WorkloadKind};
@@ -33,66 +45,353 @@ const HEADER: &str = "besync-scenario v1";
 /// Format tag, first line of every encoded run report.
 const REPORT_HEADER: &str = "besync-report v1";
 
-fn policy_name(p: PolicyKind) -> &'static str {
-    match p {
-        PolicyKind::Area => "area",
-        PolicyKind::PoissonClosedForm => "poisson_closed_form",
-        PolicyKind::SimpleWeighted => "simple_weighted",
-        PolicyKind::Bound => "bound",
+/// Wire spellings, one table per enum, read in both directions.
+const POLICIES: [(&str, PolicyKind); 4] = [
+    ("area", PolicyKind::Area),
+    ("poisson_closed_form", PolicyKind::PoissonClosedForm),
+    ("simple_weighted", PolicyKind::SimpleWeighted),
+    ("bound", PolicyKind::Bound),
+];
+
+const ESTIMATORS: [(&str, RateEstimator); 3] = [
+    ("known", RateEstimator::Known),
+    ("long_run", RateEstimator::LongRun),
+    ("since_refresh", RateEstimator::SinceRefresh),
+];
+
+const SHARES: [(&str, SharePolicy); 3] = [
+    ("equal_share", SharePolicy::EqualShare),
+    ("per_object", SharePolicy::ProportionalToObjects),
+    ("piggyback", SharePolicy::ProportionalToValue),
+];
+
+/// One field of a wire struct, as a walk presents it to its visitor. A
+/// writing visitor emits the value; a reading (or generating) one
+/// overwrites it, and the walk carries on from what it finds.
+#[derive(Debug)]
+pub enum Field<'a> {
+    /// Free text without line breaks.
+    Text(&'a mut String),
+    /// An integer, parsed back at the field's own width.
+    U64(&'a mut u64),
+    /// See [`Field::U64`].
+    U32(&'a mut u32),
+    /// See [`Field::U64`].
+    Usize(&'a mut usize),
+    /// A finite parameter, as Rust prints and parses it.
+    F64(&'a mut f64),
+    /// A measurement that is legitimately non-finite: travels through
+    /// [`fmt_f64`] / [`parse_f64`], every bit pattern preserved.
+    Exact(&'a mut f64),
+    /// `true` or `false`, strictly.
+    Bool(&'a mut bool),
+    /// A boolean spelled by omission when `false`, so text written before
+    /// the flag existed stays byte-identical and decodes to `false`.
+    Flag(&'a mut bool),
+    /// An enum, as the index of its spelling among `names`.
+    Choice {
+        names: &'a [&'static str],
+        index: &'a mut usize,
+    },
+    /// Like [`Field::Choice`], but the key may be absent (`None`): the
+    /// switch of an optional block.
+    Optional {
+        names: &'a [&'static str],
+        index: &'a mut Option<usize>,
+    },
+}
+
+impl<'a> From<Slot<'a>> for Field<'a> {
+    fn from(slot: Slot<'a>) -> Self {
+        match slot {
+            Slot::U64(v) => Field::U64(v),
+            Slot::Usize(v) => Field::Usize(v),
+            Slot::F64(v) => Field::Exact(v),
+        }
     }
 }
 
-fn parse_policy(s: &str) -> Option<PolicyKind> {
-    Some(match s {
-        "area" => PolicyKind::Area,
-        "poisson_closed_form" => PolicyKind::PoissonClosedForm,
-        "simple_weighted" => PolicyKind::SimpleWeighted,
-        "bound" => PolicyKind::Bound,
-        _ => return None,
-    })
+/// An output buffer holding the format tag.
+fn begin(header: &str) -> String {
+    let mut out = String::with_capacity(512);
+    out.push_str(header);
+    out.push('\n');
+    out
 }
 
-fn estimator_name(e: RateEstimator) -> &'static str {
-    match e {
-        RateEstimator::Known => "known",
-        RateEstimator::LongRun => "long_run",
-        RateEstimator::SinceRefresh => "since_refresh",
+/// The writing visitor: appends `field` to `out` as one `key value` line.
+fn put(out: &mut String, key: &str, field: Field<'_>) -> Result<(), String> {
+    let spelling = |names: &[&'static str], index: usize| {
+        let name = names.get(index).copied();
+        name.ok_or_else(|| format!("`{key}` holds a value with no wire spelling"))
+    };
+    let start = out.len();
+    match field {
+        Field::Flag(false) | Field::Optional { index: None, .. } => return Ok(()),
+        Field::Text(v) => write!(out, "{key} {v}"),
+        Field::U64(v) => write!(out, "{key} {v}"),
+        Field::U32(v) => write!(out, "{key} {v}"),
+        Field::Usize(v) => write!(out, "{key} {v}"),
+        Field::F64(v) => write!(out, "{key} {v}"),
+        Field::Exact(v) => write!(out, "{key} {}", fmt_f64(*v)),
+        Field::Bool(v) | Field::Flag(v) => write!(out, "{key} {v}"),
+        Field::Choice { names, index, .. }
+        | Field::Optional {
+            names,
+            index: Some(index),
+            ..
+        } => write!(out, "{key} {}", spelling(names, *index)?),
+    }
+    .expect("writing to a String cannot fail");
+    // A line break inside a value would inject spurious `key value`
+    // lines (e.g. a second `seed`) on the far side.
+    if out[start..].contains(['\n', '\r']) {
+        return Err(format!(
+            "`{key}` contains a line break, which the line-based format cannot carry faithfully"
+        ));
+    }
+    out.push('\n');
+    Ok(())
+}
+
+/// Splits encoded text into its `(key, value)` pairs, header checked.
+fn pairs<'t>(text: &'t str, header: &str) -> Result<Vec<(&'t str, &'t str)>, String> {
+    let mut lines = text.lines();
+    if lines.next().map(str::trim) != Some(header) {
+        return Err(format!("missing `{header}` header"));
+    }
+    let lines = lines.filter(|line| !line.trim().is_empty());
+    let pairs = lines.map(|line| {
+        let (key, value) = line.split_once(' ').unwrap_or((line, ""));
+        (key.trim(), value.trim())
+    });
+    Ok(pairs.collect())
+}
+
+/// The reading visitor: overwrites `field` from the first pair recorded
+/// under `key` (so duplicates lose, and unknown keys are never asked for).
+fn take(pairs: &[(&str, &str)], key: &str, field: Field<'_>) -> Result<(), String> {
+    fn parse<T: FromStr>(text: &str, what: &str, key: &str) -> Result<T, String> {
+        text.parse().map_err(|_| format!("bad {what} in `{key}`"))
+    }
+    let Some(&(_, text)) = pairs.iter().find(|(k, _)| *k == key) else {
+        match field {
+            Field::Flag(v) => *v = false,
+            Field::Optional { index, .. } => *index = None,
+            _ => return Err(format!("missing field `{key}`")),
+        }
+        return Ok(());
+    };
+    let spelled = |names: &[&'static str]| {
+        let index = names.iter().position(|name| *name == text);
+        index.ok_or_else(|| format!("unknown {} `{text}`", key.replace('_', " ")))
+    };
+    match field {
+        Field::Text(v) => *v = text.to_string(),
+        Field::U64(v) => *v = parse(text, "integer", key)?,
+        Field::U32(v) => *v = parse(text, "integer", key)?,
+        Field::Usize(v) => *v = parse(text, "integer", key)?,
+        Field::F64(v) => *v = parse(text, "number", key)?,
+        Field::Exact(v) => *v = parse_f64(text).ok_or_else(|| format!("bad number in `{key}`"))?,
+        Field::Bool(v) | Field::Flag(v) => *v = parse(text, "boolean", key)?,
+        Field::Choice { names, index } => *index = spelled(names)?,
+        Field::Optional { names, index } => *index = Some(spelled(names)?),
+    }
+    Ok(())
+}
+
+/// Presents the `index`-th of `names` as a [`Field::Choice`] and returns
+/// the index the visitor leaves behind, checked to be one of them.
+fn choose<const N: usize>(
+    visit: &mut impl FnMut(&'static str, Field<'_>) -> Result<(), String>,
+    key: &'static str,
+    names: [&'static str; N],
+    mut index: usize,
+) -> Result<usize, String> {
+    let choice = Field::Choice {
+        names: &names,
+        index: &mut index,
+    };
+    visit(key, choice)?;
+    if index < N {
+        Ok(index)
+    } else {
+        Err(format!("`{key}` was left outside its {N} spellings"))
     }
 }
 
-fn parse_estimator(s: &str) -> Option<RateEstimator> {
-    Some(match s {
-        "known" => RateEstimator::Known,
-        "long_run" => RateEstimator::LongRun,
-        "since_refresh" => RateEstimator::SinceRefresh,
-        _ => return None,
-    })
+/// Presents an enum field through its spelling table.
+fn word<T: Copy + PartialEq, const N: usize>(
+    visit: &mut impl FnMut(&'static str, Field<'_>) -> Result<(), String>,
+    key: &'static str,
+    table: &[(&'static str, T); N],
+    field: &mut T,
+) -> Result<(), String> {
+    let names = table.map(|(name, _)| name);
+    let index = table.iter().position(|(_, v)| v == field).unwrap_or(N);
+    *field = table[choose(visit, key, names, index)?].1;
+    Ok(())
 }
 
-fn share_name(s: SharePolicy) -> &'static str {
-    match s {
-        SharePolicy::EqualShare => "equal_share",
-        SharePolicy::ProportionalToObjects => "per_object",
-        SharePolicy::ProportionalToValue => "piggyback",
+/// The scenario's one field list: presents every scalar of `spec` to
+/// `visit` as `(wire key, field)` in wire order, the optional blocks
+/// (workload arm, fault profile, Ψ partition) under conditions every
+/// visitor meets alike.
+///
+/// # Errors
+///
+/// Stops at, and returns, the first error `visit` returns.
+pub fn walk_spec(
+    spec: &mut ScenarioSpec,
+    mut visit: impl FnMut(&'static str, Field<'_>) -> Result<(), String>,
+) -> Result<(), String> {
+    let visit = &mut visit;
+    let ScenarioSpec {
+        name,
+        description,
+        seed,
+        sim_seed,
+        system,
+        workload,
+        policy,
+        estimator,
+        metric,
+        cache_bandwidth_mean,
+        source_bandwidth_mean,
+        bandwidth_change_rate,
+        alpha,
+        omega,
+        warmup,
+        measure,
+        fault,
+        psi,
+        share,
+    } = spec;
+    visit("name", Field::Text(name))?;
+    visit("description", Field::Text(description))?;
+    visit("seed", Field::U64(seed))?;
+    visit("sim_seed", Field::U64(sim_seed))?;
+    word(visit, "system", &SystemKind::NAMES, system)?;
+
+    let was_buoy = matches!(workload, WorkloadKind::Buoy { .. });
+    let arms = ["poisson", "buoy"];
+    let buoy = choose(visit, "workload", arms, was_buoy as usize)? == 1;
+    if buoy != was_buoy {
+        // The visitor switched arms; it overwrites every field below.
+        let config = BuoyConfig::paper();
+        *workload = match buoy {
+            true => WorkloadKind::Buoy { config },
+            false => ScenarioSpec::default().workload,
+        };
     }
-}
+    match workload {
+        WorkloadKind::Poisson {
+            sources,
+            objects_per_source,
+            rate_range,
+            weight_range,
+            fluctuating_weights,
+        } => {
+            visit("sources", Field::U32(sources))?;
+            visit("objects_per_source", Field::U32(objects_per_source))?;
+            visit("rate_lo", Field::F64(&mut rate_range.0))?;
+            visit("rate_hi", Field::F64(&mut rate_range.1))?;
+            visit("weight_lo", Field::F64(&mut weight_range.0))?;
+            visit("weight_hi", Field::F64(&mut weight_range.1))?;
+            visit("fluctuating_weights", Field::Bool(fluctuating_weights))?;
+        }
+        WorkloadKind::Buoy { config } => {
+            let BuoyConfig {
+                buoys,
+                components,
+                sample_interval,
+                duration,
+                reversion,
+                noise,
+            } = config;
+            visit("buoys", Field::U32(buoys))?;
+            visit("components", Field::U32(components))?;
+            visit("sample_interval", Field::F64(sample_interval))?;
+            visit("duration", Field::F64(duration))?;
+            visit("reversion", Field::F64(reversion))?;
+            visit("noise", Field::F64(noise))?;
+        }
+    }
 
-fn parse_share(s: &str) -> Option<SharePolicy> {
-    Some(match s {
-        "equal_share" => SharePolicy::EqualShare,
-        "per_object" => SharePolicy::ProportionalToObjects,
-        "piggyback" => SharePolicy::ProportionalToValue,
-        _ => return None,
-    })
-}
+    word(visit, "policy", &POLICIES, policy)?;
+    word(visit, "estimator", &ESTIMATORS, estimator)?;
+    // `Metric` holds a function pointer, so it is matched by name, not
+    // by `==`; `deviation` always decodes to the absolute difference.
+    let metrics = Metric::all_three();
+    let index = metrics.iter().position(|m| m.name() == metric.name());
+    let names = metrics.map(|m| m.name());
+    *metric = metrics[choose(visit, "metric", names, index.unwrap_or(3))?];
+    visit("cache_bandwidth_mean", Field::F64(cache_bandwidth_mean))?;
+    visit("source_bandwidth_mean", Field::F64(source_bandwidth_mean))?;
+    visit("bandwidth_change_rate", Field::F64(bandwidth_change_rate))?;
+    visit("alpha", Field::F64(alpha))?;
+    visit("omega", Field::F64(omega))?;
+    visit("warmup", Field::F64(warmup))?;
+    visit("measure", Field::F64(measure))?;
 
-fn parse_metric(s: &str) -> Option<Metric> {
-    Some(match s {
-        "staleness" => Metric::Staleness,
-        "lag" => Metric::Lag,
-        "deviation" => Metric::abs_deviation(),
-        _ => return None,
-    })
+    // The fault block exists only when a profile is set, so fault-free
+    // scenarios keep their exact pre-fault text (and old text decodes to
+    // `fault: None`). Once present, every sub-field is mandatory and the
+    // recovery kind must be known: silently decoding an unknown fault
+    // regime to something else would change what the far side simulates.
+    let recoveries = [
+        RecoveryPolicy::DegradeStale,
+        RecoveryPolicy::Retransmit { deadline: 0.0 },
+        RecoveryPolicy::Resync,
+    ];
+    let names = &recoveries.map(|r| r.kind_name());
+    let spelled = |f: FaultProfile| names.iter().position(|n| *n == f.recovery.kind_name());
+    let mut kind = fault.map(|f| spelled(f).unwrap_or(names.len()));
+    let index = &mut kind;
+    visit("fault", Field::Optional { names, index })?;
+    *fault = match kind {
+        None => None,
+        Some(kind) => {
+            let mut profile = fault.unwrap_or_default();
+            let FaultProfile {
+                loss_prob,
+                outage_rate,
+                outage_duration,
+                outage_drops_queue,
+                crash_rate,
+                crash_downtime,
+                recovery,
+                aware,
+            } = &mut profile;
+            let was = *recovery;
+            let picked = recoveries.get(kind).copied();
+            *recovery = picked.ok_or("`fault` was left outside its spellings")?;
+            if let RecoveryPolicy::Retransmit { deadline } = recovery {
+                if let RecoveryPolicy::Retransmit { deadline: was } = was {
+                    *deadline = was;
+                }
+                visit("fault_retransmit_deadline", Field::F64(deadline))?;
+            }
+            visit("fault_loss_prob", Field::F64(loss_prob))?;
+            visit("fault_outage_rate", Field::F64(outage_rate))?;
+            visit("fault_outage_duration", Field::F64(outage_duration))?;
+            visit("fault_outage_drops_queue", Field::Bool(outage_drops_queue))?;
+            visit("fault_crash_rate", Field::F64(crash_rate))?;
+            visit("fault_crash_downtime", Field::F64(crash_downtime))?;
+            visit("fault_aware", Field::Flag(aware))?;
+            Some(profile)
+        }
+    };
+
+    // The Ψ partition only exists for §7 scenarios: absent from every
+    // other scenario's text (which so stays byte-identical to its
+    // pre-competitive form), mandatory once the system is competitive —
+    // defaults would silently change what the far side simulates.
+    if matches!(system, SystemKind::Competitive) {
+        visit("psi", Field::F64(psi))?;
+        word(visit, "share_policy", &SHARES, share)?;
+    }
+    Ok(())
 }
 
 /// Encodes a scenario as the line-based text form.
@@ -100,7 +399,8 @@ fn parse_metric(s: &str) -> Option<Metric> {
 /// # Errors
 ///
 /// Returns an error if the scenario uses a deviation function other than
-/// the standard absolute difference (function pointers don't serialize).
+/// the standard absolute difference (function pointers don't serialize),
+/// or if its name or description holds a line break.
 pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
     if let Metric::Deviation(f) = spec.metric {
         // Function pointers don't serialize and can't be compared
@@ -115,104 +415,8 @@ pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
             ));
         }
     }
-    for (field, value) in [("name", &spec.name), ("description", &spec.description)] {
-        if value.contains('\n') || value.contains('\r') {
-            return Err(format!(
-                "scenario {field} contains a line break, which the line-based format \
-                 cannot carry faithfully"
-            ));
-        }
-    }
-    let mut out = String::with_capacity(512);
-    out.push_str(HEADER);
-    out.push('\n');
-    let mut kv = |k: &str, v: &str| {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(v);
-        out.push('\n');
-    };
-    kv("name", &spec.name);
-    kv("description", &spec.description);
-    kv("seed", &spec.seed.to_string());
-    kv("sim_seed", &spec.sim_seed.to_string());
-    kv("system", spec.system.name());
-    match spec.workload {
-        WorkloadKind::Poisson {
-            sources,
-            objects_per_source,
-            rate_range,
-            weight_range,
-            fluctuating_weights,
-        } => {
-            kv("workload", "poisson");
-            kv("sources", &sources.to_string());
-            kv("objects_per_source", &objects_per_source.to_string());
-            kv("rate_lo", &rate_range.0.to_string());
-            kv("rate_hi", &rate_range.1.to_string());
-            kv("weight_lo", &weight_range.0.to_string());
-            kv("weight_hi", &weight_range.1.to_string());
-            kv("fluctuating_weights", &fluctuating_weights.to_string());
-        }
-        WorkloadKind::Buoy { config } => {
-            kv("workload", "buoy");
-            kv("buoys", &config.buoys.to_string());
-            kv("components", &config.components.to_string());
-            kv("sample_interval", &config.sample_interval.to_string());
-            kv("duration", &config.duration.to_string());
-            kv("reversion", &config.reversion.to_string());
-            kv("noise", &config.noise.to_string());
-        }
-    }
-    kv("policy", policy_name(spec.policy));
-    kv("estimator", estimator_name(spec.estimator));
-    kv("metric", spec.metric.name());
-    kv(
-        "cache_bandwidth_mean",
-        &spec.cache_bandwidth_mean.to_string(),
-    );
-    kv(
-        "source_bandwidth_mean",
-        &spec.source_bandwidth_mean.to_string(),
-    );
-    kv(
-        "bandwidth_change_rate",
-        &spec.bandwidth_change_rate.to_string(),
-    );
-    kv("alpha", &spec.alpha.to_string());
-    kv("omega", &spec.omega.to_string());
-    kv("warmup", &spec.warmup.to_string());
-    kv("measure", &spec.measure.to_string());
-    if let Some(f) = spec.fault {
-        // The fault block is emitted only when a profile is set, so
-        // fault-free scenarios keep their exact pre-fault text (and old
-        // text decodes to `fault: None`).
-        kv("fault", f.recovery.kind_name());
-        if let RecoveryPolicy::Retransmit { deadline } = f.recovery {
-            kv("fault_retransmit_deadline", &deadline.to_string());
-        }
-        kv("fault_loss_prob", &f.loss_prob.to_string());
-        kv("fault_outage_rate", &f.outage_rate.to_string());
-        kv("fault_outage_duration", &f.outage_duration.to_string());
-        kv(
-            "fault_outage_drops_queue",
-            &f.outage_drops_queue.to_string(),
-        );
-        kv("fault_crash_rate", &f.crash_rate.to_string());
-        kv("fault_crash_downtime", &f.crash_downtime.to_string());
-        if f.aware {
-            // Emitted only when set, so pre-fault-aware scenario text
-            // stays byte-identical (and old text decodes to `false`).
-            kv("fault_aware", "true");
-        }
-    }
-    if matches!(spec.system, SystemKind::Competitive) {
-        // The Ψ partition only exists for §7 scenarios; emitting it
-        // conditionally keeps every other scenario's text byte-identical
-        // to its pre-competitive form.
-        kv("psi", &spec.psi.to_string());
-        kv("share_policy", share_name(spec.share));
-    }
+    let mut out = begin(HEADER);
+    walk_spec(&mut spec.clone(), |key, field| put(&mut out, key, field))?;
     Ok(out)
 }
 
@@ -220,151 +424,20 @@ pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed or missing field.
+/// Returns a message naming the first malformed or missing field, in
+/// wire order.
 pub fn decode(text: &str) -> Result<ScenarioSpec, String> {
-    let mut lines = text.lines();
-    if lines.next().map(str::trim) != Some(HEADER) {
-        return Err(format!("missing `{HEADER}` header"));
+    let pairs = pairs(text, HEADER)?;
+    // Fields the walk does not visit keep these defaults: no fault
+    // profile, and outside §7 `psi = 0` with the piggyback share.
+    let mut spec = ScenarioSpec::default();
+    walk_spec(&mut spec, |key, field| take(&pairs, key, field))?;
+    if let Some(profile) = spec.fault {
+        profile
+            .validate()
+            .map_err(|e| format!("invalid fault profile: {e}"))?;
     }
-    let mut pairs = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (key, value) = line.split_once(' ').unwrap_or((line, ""));
-        pairs.push((key.trim().to_string(), value.trim().to_string()));
-    }
-    let get = |key: &str| -> Result<&str, String> {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("missing field `{key}`"))
-    };
-    let num = |key: &str| -> Result<f64, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("bad number in `{key}`"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("bad integer in `{key}`"))
-    };
-
-    let workload = match get("workload")? {
-        "poisson" => WorkloadKind::Poisson {
-            sources: int("sources")? as u32,
-            objects_per_source: int("objects_per_source")? as u32,
-            rate_range: (num("rate_lo")?, num("rate_hi")?),
-            weight_range: (num("weight_lo")?, num("weight_hi")?),
-            fluctuating_weights: match get("fluctuating_weights")? {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("bad boolean `{other}` in `fluctuating_weights`")),
-            },
-        },
-        "buoy" => WorkloadKind::Buoy {
-            config: BuoyConfig {
-                buoys: int("buoys")? as u32,
-                components: int("components")? as u32,
-                sample_interval: num("sample_interval")?,
-                duration: num("duration")?,
-                reversion: num("reversion")?,
-                noise: num("noise")?,
-            },
-        },
-        other => return Err(format!("unknown workload kind `{other}`")),
-    };
-
-    // `fault` is optional — its absence means the fault-free path — but
-    // once present, every sub-field is mandatory and the recovery kind
-    // must be known: silently decoding an unknown fault regime to
-    // something else would change what the far side simulates.
-    let fault = match pairs.iter().find(|(k, _)| k == "fault") {
-        None => None,
-        Some((_, kind)) => {
-            let recovery = match kind.as_str() {
-                "degrade-stale" => RecoveryPolicy::DegradeStale,
-                "resync" => RecoveryPolicy::Resync,
-                "retransmit" => RecoveryPolicy::Retransmit {
-                    deadline: num("fault_retransmit_deadline")?,
-                },
-                other => return Err(format!("unknown fault recovery kind `{other}`")),
-            };
-            let profile = FaultProfile {
-                loss_prob: num("fault_loss_prob")?,
-                outage_rate: num("fault_outage_rate")?,
-                outage_duration: num("fault_outage_duration")?,
-                outage_drops_queue: match get("fault_outage_drops_queue")? {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(format!(
-                            "bad boolean `{other}` in `fault_outage_drops_queue`"
-                        ))
-                    }
-                },
-                crash_rate: num("fault_crash_rate")?,
-                crash_downtime: num("fault_crash_downtime")?,
-                recovery,
-                aware: match pairs.iter().find(|(k, _)| k == "fault_aware") {
-                    None => false,
-                    Some((_, v)) => match v.as_str() {
-                        "true" => true,
-                        "false" => false,
-                        other => return Err(format!("bad boolean `{other}` in `fault_aware`")),
-                    },
-                },
-            };
-            profile
-                .validate()
-                .map_err(|e| format!("invalid fault profile: {e}"))?;
-            Some(profile)
-        }
-    };
-
-    let system_name = get("system")?;
-    let system =
-        SystemKind::parse(system_name).ok_or_else(|| format!("unknown system `{system_name}`"))?;
-    // Like the fault block: the Ψ partition is absent from every
-    // non-competitive scenario's text, but once the system is §7 both
-    // fields are mandatory — defaults here would silently change what
-    // the far side simulates.
-    let (psi, share) = if matches!(system, SystemKind::Competitive) {
-        let share_str = get("share_policy")?;
-        (
-            num("psi")?,
-            parse_share(share_str).ok_or_else(|| format!("unknown share policy `{share_str}`"))?,
-        )
-    } else {
-        (0.0, SharePolicy::ProportionalToValue)
-    };
-    let policy_str = get("policy")?;
-    let estimator_str = get("estimator")?;
-    let metric_str = get("metric")?;
-    Ok(ScenarioSpec {
-        name: get("name")?.to_string(),
-        description: get("description")?.to_string(),
-        seed: int("seed")?,
-        sim_seed: int("sim_seed")?,
-        system,
-        workload,
-        policy: parse_policy(policy_str).ok_or_else(|| format!("unknown policy `{policy_str}`"))?,
-        estimator: parse_estimator(estimator_str)
-            .ok_or_else(|| format!("unknown estimator `{estimator_str}`"))?,
-        metric: parse_metric(metric_str).ok_or_else(|| format!("unknown metric `{metric_str}`"))?,
-        cache_bandwidth_mean: num("cache_bandwidth_mean")?,
-        source_bandwidth_mean: num("source_bandwidth_mean")?,
-        bandwidth_change_rate: num("bandwidth_change_rate")?,
-        alpha: num("alpha")?,
-        omega: num("omega")?,
-        warmup: num("warmup")?,
-        measure: num("measure")?,
-        fault,
-        psi,
-        share,
-    })
+    Ok(spec)
 }
 
 /// Formats an `f64` so decoding reproduces it bit for bit.
@@ -410,52 +483,9 @@ pub fn parse_f64(s: &str) -> Option<f64> {
 /// trip bit for bit, so a report collected from a worker process is
 /// indistinguishable from one produced in-process.
 pub fn encode_report(report: &RunReport) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str(REPORT_HEADER);
-    out.push('\n');
-    let mut kv = |k: &str, v: String| {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(&v);
-        out.push('\n');
-    };
-    let d = &report.divergence;
-    kv("objects", d.objects.to_string());
-    kv("total_unweighted", fmt_f64(d.total_unweighted));
-    kv("total_weighted", fmt_f64(d.total_weighted));
-    kv("mean_unweighted", fmt_f64(d.mean_unweighted));
-    kv("mean_weighted", fmt_f64(d.mean_weighted));
-    kv("max_unweighted", fmt_f64(d.max_unweighted));
-    kv("refreshes_applied", d.refreshes_applied.to_string());
-    kv("refreshes_sent", report.refreshes_sent.to_string());
-    kv(
-        "refreshes_delivered",
-        report.refreshes_delivered.to_string(),
-    );
-    kv("feedback_messages", report.feedback_messages.to_string());
-    kv("polls_sent", report.polls_sent.to_string());
-    kv("max_cache_queue", report.max_cache_queue.to_string());
-    kv("mean_queue_wait", fmt_f64(report.mean_queue_wait));
-    let t = report.threshold_stats.to_raw();
-    kv("threshold_count", t.count.to_string());
-    kv("threshold_mean", fmt_f64(t.mean));
-    kv("threshold_m2", fmt_f64(t.m2));
-    kv("threshold_min", fmt_f64(t.min));
-    kv("threshold_max", fmt_f64(t.max));
-    kv("updates_processed", report.updates_processed.to_string());
-    let f = &report.faults;
-    kv("fault_lost_refreshes", f.lost_refreshes.to_string());
-    kv("fault_retransmits", f.retransmits.to_string());
-    kv("fault_outages", f.outages.to_string());
-    kv("fault_outage_seconds", fmt_f64(f.outage_seconds));
-    kv("fault_dropped_in_outage", f.dropped_in_outage.to_string());
-    kv("fault_crashes", f.crashes.to_string());
-    kv("fault_down_seconds", fmt_f64(f.down_seconds));
-    kv("fault_missed_updates", f.missed_updates.to_string());
-    kv("fault_resync_quotes", f.resync_quotes.to_string());
-    kv("fault_epoch_divergence", fmt_f64(f.epoch_divergence));
-    kv("fault_stale_drops", f.stale_drops.to_string());
-    kv("fault_superseded_retries", f.superseded_retries.to_string());
+    let mut out = begin(REPORT_HEADER);
+    let walked = (report.clone()).walk(|key, slot| put(&mut out, key, slot.into()));
+    walked.expect("a report holds only numbers, which hold no line breaks");
     out
 }
 
@@ -467,78 +497,19 @@ pub fn encode_report(report: &RunReport) -> String {
 /// panics: a hostile or truncated worker reply must surface as a
 /// structured error the sweep supervisor can act on, not take it down.
 pub fn decode_report(text: &str) -> Result<RunReport, String> {
-    let mut lines = text.lines();
-    if lines.next().map(str::trim) != Some(REPORT_HEADER) {
-        return Err(format!("missing `{REPORT_HEADER}` header"));
-    }
-    let mut pairs = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (key, value) = line.split_once(' ').unwrap_or((line, ""));
-        pairs.push((key.trim(), value.trim()));
-    }
-    let get = |key: &str| -> Result<&str, String> {
-        pairs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("missing field `{key}`"))
-    };
-    let num = |key: &str| -> Result<f64, String> {
-        parse_f64(get(key)?).ok_or_else(|| format!("bad number in `{key}`"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("bad integer in `{key}`"))
-    };
-    Ok(RunReport {
-        divergence: DivergenceReport {
-            objects: int("objects")? as usize,
-            total_unweighted: num("total_unweighted")?,
-            total_weighted: num("total_weighted")?,
-            mean_unweighted: num("mean_unweighted")?,
-            mean_weighted: num("mean_weighted")?,
-            max_unweighted: num("max_unweighted")?,
-            refreshes_applied: int("refreshes_applied")?,
-        },
-        refreshes_sent: int("refreshes_sent")?,
-        refreshes_delivered: int("refreshes_delivered")?,
-        feedback_messages: int("feedback_messages")?,
-        polls_sent: int("polls_sent")?,
-        max_cache_queue: int("max_cache_queue")? as usize,
-        mean_queue_wait: num("mean_queue_wait")?,
-        threshold_stats: RunningStats::from_raw(RawRunningStats {
-            count: int("threshold_count")?,
-            mean: num("threshold_mean")?,
-            m2: num("threshold_m2")?,
-            min: num("threshold_min")?,
-            max: num("threshold_max")?,
-        }),
-        updates_processed: int("updates_processed")?,
-        faults: FaultSummary {
-            lost_refreshes: int("fault_lost_refreshes")?,
-            retransmits: int("fault_retransmits")?,
-            outages: int("fault_outages")?,
-            outage_seconds: num("fault_outage_seconds")?,
-            dropped_in_outage: int("fault_dropped_in_outage")?,
-            crashes: int("fault_crashes")?,
-            down_seconds: num("fault_down_seconds")?,
-            missed_updates: int("fault_missed_updates")?,
-            resync_quotes: int("fault_resync_quotes")?,
-            epoch_divergence: num("fault_epoch_divergence")?,
-            stale_drops: int("fault_stale_drops")?,
-            superseded_retries: int("fault_superseded_retries")?,
-        },
-    })
+    let pairs = pairs(text, REPORT_HEADER)?;
+    let mut report = RunReport::default();
+    report.walk(|key, slot| take(&pairs, key, slot.into()))?;
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::suite::{all, by_name};
+    use besync::fault::FaultSummary;
+    use besync_data::account::DivergenceReport;
+    use besync_sim::stats::RunningStats;
 
     #[test]
     fn every_registered_scenario_round_trips() {
@@ -558,12 +529,7 @@ mod tests {
         // the identical simulation on the far side.
         let spec = by_name("small").unwrap().quick();
         let shipped = decode(&encode(&spec).unwrap()).unwrap();
-        let here = spec.run();
-        let there = shipped.run();
-        assert_eq!(here.updates_processed, there.updates_processed);
-        assert_eq!(here.refreshes_sent, there.refreshes_sent);
-        assert_eq!(here.feedback_messages, there.feedback_messages);
-        assert_eq!(here.mean_divergence(), there.mean_divergence());
+        assert_eq!(spec.run().first_difference(&shipped.run()), None);
     }
 
     #[test]
@@ -601,11 +567,7 @@ mod tests {
     fn decode_reports_missing_and_malformed_fields() {
         assert!(decode("not a scenario").is_err());
         let text = encode(&by_name("small").unwrap()).unwrap();
-        let truncated: String = text
-            .lines()
-            .filter(|l| !l.starts_with("measure"))
-            .collect::<Vec<_>>()
-            .join("\n");
+        let truncated = without_field(&text, "measure");
         let err = decode(&truncated).unwrap_err();
         assert!(err.contains("measure"), "{err}");
         let mangled = text.replace("cache_bandwidth_mean ", "cache_bandwidth_mean x");
@@ -615,6 +577,10 @@ mod tests {
         let bad_bool = text.replace("fluctuating_weights false", "fluctuating_weights fals");
         let err = decode(&bad_bool).unwrap_err();
         assert!(err.contains("fluctuating_weights"), "{err}");
+        // Integers parse at their field's width: 2^32 + 1 must not wrap
+        // to a one-source scenario the far side then runs "successfully".
+        let too_wide = replace_field_value(&text, "sources", "4294967297");
+        assert_eq!(decode(&too_wide).unwrap_err(), "bad integer in `sources`");
     }
 
     fn exotic_report() -> RunReport {
@@ -656,68 +622,56 @@ mod tests {
         }
     }
 
-    fn assert_reports_bit_identical(a: &RunReport, b: &RunReport) {
-        assert_eq!(a.divergence.objects, b.divergence.objects);
-        for (x, y) in [
-            (a.divergence.total_unweighted, b.divergence.total_unweighted),
-            (a.divergence.total_weighted, b.divergence.total_weighted),
-            (a.divergence.mean_unweighted, b.divergence.mean_unweighted),
-            (a.divergence.mean_weighted, b.divergence.mean_weighted),
-            (a.divergence.max_unweighted, b.divergence.max_unweighted),
-            (a.mean_queue_wait, b.mean_queue_wait),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-        }
-        assert_eq!(
-            a.divergence.refreshes_applied,
-            b.divergence.refreshes_applied
-        );
-        assert_eq!(a.refreshes_sent, b.refreshes_sent);
-        assert_eq!(a.refreshes_delivered, b.refreshes_delivered);
-        assert_eq!(a.feedback_messages, b.feedback_messages);
-        assert_eq!(a.polls_sent, b.polls_sent);
-        assert_eq!(a.max_cache_queue, b.max_cache_queue);
-        assert_eq!(a.updates_processed, b.updates_processed);
-        let (ta, tb) = (a.threshold_stats.to_raw(), b.threshold_stats.to_raw());
-        assert_eq!(ta.count, tb.count);
-        for (x, y) in [
-            (ta.mean, tb.mean),
-            (ta.m2, tb.m2),
-            (ta.min, tb.min),
-            (ta.max, tb.max),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "threshold stats {x} vs {y}");
-        }
-        let (fa, fb) = (&a.faults, &b.faults);
-        assert_eq!(fa.lost_refreshes, fb.lost_refreshes);
-        assert_eq!(fa.retransmits, fb.retransmits);
-        assert_eq!(fa.outages, fb.outages);
-        assert_eq!(fa.dropped_in_outage, fb.dropped_in_outage);
-        assert_eq!(fa.crashes, fb.crashes);
-        assert_eq!(fa.missed_updates, fb.missed_updates);
-        assert_eq!(fa.resync_quotes, fb.resync_quotes);
-        assert_eq!(fa.stale_drops, fb.stale_drops);
-        assert_eq!(fa.superseded_retries, fb.superseded_retries);
-        for (x, y) in [
-            (fa.outage_seconds, fb.outage_seconds),
-            (fa.down_seconds, fb.down_seconds),
-            (fa.epoch_divergence, fb.epoch_divergence),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "fault summary {x} vs {y}");
-        }
-    }
-
     #[test]
     fn run_report_round_trips_bit_exact() {
         // A real report from an actual run...
         let real = by_name("small").unwrap().quick().run();
-        assert_reports_bit_identical(&real, &decode_report(&encode_report(&real)).unwrap());
+        let back = decode_report(&encode_report(&real)).unwrap();
+        assert_eq!(real.first_difference(&back), None);
         // ...and a synthetic one stuffed with every float pathology.
         let exotic = exotic_report();
         let back = decode_report(&encode_report(&exotic)).unwrap();
-        assert_reports_bit_identical(&exotic, &back);
+        assert_eq!(exotic.first_difference(&back), None);
         // Idempotence: re-encoding the decoded report reproduces the text.
         assert_eq!(encode_report(&exotic), encode_report(&back));
+    }
+
+    #[test]
+    fn report_differences_are_named_by_wire_key() {
+        // The last field of the walk, which the hand-written comparators
+        // this replaces never looked at.
+        let a = exotic_report();
+        let mut b = a.clone();
+        b.faults.superseded_retries += 1;
+        assert_eq!(a.first_difference(&b), Some("fault_superseded_retries"));
+        // Floats differ by bit pattern, not by `==`.
+        let mut c = a.clone();
+        c.faults.down_seconds = 0.0;
+        assert_eq!(a.first_difference(&c), Some("fault_down_seconds"));
+    }
+
+    #[test]
+    fn wire_text_is_pinned() {
+        // `tests/wire/*.txt` were recorded from the tree before the field
+        // walk existed: the text is what old workers, baselines and logs
+        // hold, so it must not move. Covers the fault block (retransmit
+        // deadline + aware flag), the Ψ block, and the buoy workload arm.
+        for (name, text) in [
+            ("medium", include_str!("../tests/wire/medium.txt")),
+            (
+                "lossy_aware_medium",
+                include_str!("../tests/wire/lossy_aware_medium.txt"),
+            ),
+            (
+                "competitive_lossy",
+                include_str!("../tests/wire/competitive_lossy.txt"),
+            ),
+            ("buoy_week", include_str!("../tests/wire/buoy_week.txt")),
+        ] {
+            assert_eq!(encode(&by_name(name).unwrap()).unwrap(), text, "{name}");
+        }
+        let exotic = include_str!("../tests/wire/exotic_report.txt");
+        assert_eq!(encode_report(&exotic_report()), exotic);
     }
 
     #[test]
@@ -753,15 +707,17 @@ mod tests {
     fn report_decode_reports_missing_and_malformed_fields() {
         assert!(decode_report("not a report").is_err());
         let text = encode_report(&by_name("small").unwrap().quick().run());
-        let truncated: String = text
-            .lines()
-            .filter(|l| !l.starts_with("updates_processed"))
-            .collect::<Vec<_>>()
-            .join("\n");
+        let truncated = without_field(&text, "updates_processed");
         let err = decode_report(&truncated).unwrap_err();
         assert!(err.contains("updates_processed"), "{err}");
         let mangled = replace_field_value(&text, "refreshes_sent", "twelve");
         assert!(decode_report(&mangled).is_err());
+    }
+
+    /// Drops `key`'s line from an encoded key-value text.
+    fn without_field(text: &str, key: &str) -> String {
+        let kept = text.lines().filter(|l| !l.starts_with(key));
+        kept.collect::<Vec<_>>().join("\n")
     }
 
     /// Replaces `key`'s value in an encoded key-value text.
@@ -852,11 +808,7 @@ mod tests {
         let bad = replace_field_value(&text, "fault_loss_prob", "1.5");
         assert!(decode(&bad).is_err());
         // A fault block missing a sub-field is incomplete, not defaulted.
-        let truncated: String = text
-            .lines()
-            .filter(|l| !l.starts_with("fault_crash_rate"))
-            .collect::<Vec<_>>()
-            .join("\n");
+        let truncated = without_field(&text, "fault_crash_rate");
         let err = decode(&truncated).unwrap_err();
         assert!(err.contains("fault_crash_rate"), "{err}");
     }

@@ -31,29 +31,27 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    /// Every kind with its short stable name — the one spelling table
+    /// behind [`SystemKind::name`], [`SystemKind::parse`] and the codec.
+    pub const NAMES: [(&'static str, SystemKind); 6] = [
+        ("coop", SystemKind::Coop),
+        ("ideal", SystemKind::Ideal),
+        ("cgm_ideal", SystemKind::Cgm(CgmVariant::IdealCacheBased)),
+        ("cgm1", SystemKind::Cgm(CgmVariant::Cgm1)),
+        ("cgm2", SystemKind::Cgm(CgmVariant::Cgm2)),
+        ("competitive", SystemKind::Competitive),
+    ];
+
     /// Short stable name (used in bench JSON and the codec).
     pub fn name(self) -> &'static str {
-        match self {
-            SystemKind::Coop => "coop",
-            SystemKind::Ideal => "ideal",
-            SystemKind::Cgm(CgmVariant::IdealCacheBased) => "cgm_ideal",
-            SystemKind::Cgm(CgmVariant::Cgm1) => "cgm1",
-            SystemKind::Cgm(CgmVariant::Cgm2) => "cgm2",
-            SystemKind::Competitive => "competitive",
-        }
+        let entry = Self::NAMES.iter().find(|(_, kind)| *kind == self);
+        entry.expect("every kind is in NAMES").0
     }
 
     /// Inverse of [`SystemKind::name`].
     pub fn parse(s: &str) -> Option<SystemKind> {
-        Some(match s {
-            "coop" => SystemKind::Coop,
-            "ideal" => SystemKind::Ideal,
-            "cgm_ideal" => SystemKind::Cgm(CgmVariant::IdealCacheBased),
-            "cgm1" => SystemKind::Cgm(CgmVariant::Cgm1),
-            "cgm2" => SystemKind::Cgm(CgmVariant::Cgm2),
-            "competitive" => SystemKind::Competitive,
-            _ => return None,
-        })
+        let entry = Self::NAMES.iter().find(|(name, _)| *name == s);
+        entry.map(|&(_, kind)| kind)
     }
 }
 

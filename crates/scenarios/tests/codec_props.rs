@@ -6,16 +6,13 @@
 //! representable value bit for bit and (b) turn arbitrary garbage into a
 //! structured `Err` — never a panic that would take down the supervisor.
 
-use besync::cache::partition::SharePolicy;
-use besync::fault::{FaultProfile, FaultSummary, RecoveryPolicy};
-use besync::priority::{PolicyKind, RateEstimator};
+use std::convert::Infallible;
+
+use besync::fault::FaultProfile;
+use besync::report::Slot;
 use besync::RunReport;
-use besync_data::account::DivergenceReport;
-use besync_data::Metric;
-use besync_scenarios::codec::{decode, decode_report, encode, encode_report};
-use besync_scenarios::{ScenarioSpec, SystemKind, WorkloadKind};
-use besync_sim::stats::{RawRunningStats, RunningStats};
-use besync_workloads::buoy::BuoyConfig;
+use besync_scenarios::codec::{decode, decode_report, encode, encode_report, walk_spec, Field};
+use besync_scenarios::ScenarioSpec;
 use proptest::prelude::*;
 
 /// ASCII names without newlines (newlines are rejected by `encode` — a
@@ -51,251 +48,62 @@ fn any_f64() -> impl Strategy<Value = f64> {
     ]
 }
 
-fn system_kind() -> impl Strategy<Value = SystemKind> {
-    use besync_baselines::CgmVariant;
-    prop_oneof![
-        Just(SystemKind::Coop),
-        Just(SystemKind::Ideal),
-        Just(SystemKind::Cgm(CgmVariant::IdealCacheBased)),
-        Just(SystemKind::Cgm(CgmVariant::Cgm1)),
-        Just(SystemKind::Cgm(CgmVariant::Cgm2)),
-        Just(SystemKind::Competitive),
-    ]
-}
+/// Draws per generated value: more than any walk visits fields (a
+/// scenario presents at most 34, a report 32).
+const DRAWS: std::ops::Range<usize> = 40..41;
 
-fn share_policy() -> impl Strategy<Value = SharePolicy> {
-    prop_oneof![
-        Just(SharePolicy::EqualShare),
-        Just(SharePolicy::ProportionalToObjects),
-        Just(SharePolicy::ProportionalToValue),
-    ]
-}
-
-fn workload_kind() -> impl Strategy<Value = WorkloadKind> {
-    prop_oneof![
-        (
-            1u32..2000,
-            1u32..2000,
-            finite_f64(),
-            finite_f64(),
-            prop::bool::ANY
-        )
-            .prop_map(
-                |(sources, objects_per_source, rate, weight, fluctuating_weights)| {
-                    WorkloadKind::Poisson {
-                        sources,
-                        objects_per_source,
-                        rate_range: (rate, rate + 1.0),
-                        weight_range: (weight, weight + 2.0),
-                        fluctuating_weights,
-                    }
-                }
-            ),
-        (1u32..200, 1u32..8, finite_f64(), finite_f64()).prop_map(
-            |(buoys, components, sample_interval, noise)| WorkloadKind::Buoy {
-                config: BuoyConfig {
-                    buoys,
-                    components,
-                    sample_interval,
-                    duration: 86_400.0,
-                    reversion: 0.05,
-                    noise,
-                },
-            }
-        ),
-    ]
-}
-
-/// Fault profiles within `FaultProfile::validate()`'s envelope (the
-/// codec rejects invalid profiles on decode, so only valid ones can
-/// round-trip), plus `None` — the fault-free default — often enough that
-/// both encoder branches stay covered.
-fn fault_profile() -> impl Strategy<Value = Option<FaultProfile>> {
-    let recovery = prop_oneof![
-        Just(RecoveryPolicy::DegradeStale),
-        (0.001f64..100.0).prop_map(|deadline| RecoveryPolicy::Retransmit { deadline }),
-        Just(RecoveryPolicy::Resync),
-    ];
-    prop_oneof![
-        Just(None),
-        (
-            (0.0f64..=1.0, 0.0f64..0.1, 0.01f64..60.0, prop::bool::ANY),
-            (0.0f64..0.05, 0.01f64..120.0, recovery, prop::bool::ANY),
-        )
-            .prop_map(
-                |(
-                    (loss_prob, outage_rate, outage_duration, outage_drops_queue),
-                    (crash_rate, crash_downtime, recovery, aware),
-                )| {
-                    Some(FaultProfile {
-                        loss_prob,
-                        outage_rate,
-                        outage_duration,
-                        outage_drops_queue,
-                        crash_rate,
-                        crash_downtime,
-                        recovery,
-                        aware,
-                    })
-                }
-            ),
-    ]
-}
-
+/// Random scenarios, filled through the codec's own field walk so a new
+/// field — or a new optional block — is generated without touching this
+/// file: one draw per visited field, the field's type picking its part.
 fn scenario() -> impl Strategy<Value = ScenarioSpec> {
-    let policy = prop_oneof![
-        Just(PolicyKind::Area),
-        Just(PolicyKind::PoissonClosedForm),
-        Just(PolicyKind::SimpleWeighted),
-        Just(PolicyKind::Bound),
-    ];
-    let estimator = prop_oneof![
-        Just(RateEstimator::Known),
-        Just(RateEstimator::LongRun),
-        Just(RateEstimator::SinceRefresh),
-    ];
-    let metric = prop_oneof![
-        Just(Metric::Staleness),
-        Just(Metric::Lag),
-        Just(Metric::abs_deviation()),
-    ];
-    (
-        (name(), name(), 0u64..=u64::MAX, 0u64..=u64::MAX),
-        (system_kind(), workload_kind(), policy, estimator, metric),
-        (
-            finite_f64(),
-            finite_f64(),
-            finite_f64(),
-            finite_f64(),
-            finite_f64(),
-        ),
-        (finite_f64(), finite_f64(), fault_profile()),
-        (0.0f64..1.0, share_policy()),
-    )
-        .prop_map(
-            |(
-                (name, description, seed, sim_seed),
-                (system, workload, policy, estimator, metric),
-                (cache_bandwidth_mean, source_bandwidth_mean, bandwidth_change_rate, alpha, omega),
-                (warmup, measure, fault),
-                (psi, share),
-            )| ScenarioSpec {
-                name,
-                description,
-                seed,
-                sim_seed,
-                system,
-                workload,
-                policy,
-                estimator,
-                metric,
-                cache_bandwidth_mean,
-                source_bandwidth_mean,
-                bandwidth_change_rate,
-                alpha,
-                omega,
-                warmup,
-                measure,
-                fault,
-                psi,
-                share,
-            },
-        )
+    let draw = (0u64..=u64::MAX, finite_f64(), 0.001f64..1.0, name());
+    prop::collection::vec(draw, DRAWS).prop_map(|draws| {
+        let mut draws = draws.into_iter();
+        let mut spec = ScenarioSpec::default();
+        let filled = walk_spec(&mut spec, |key, field| {
+            let (int, float, unit, text) = draws.next().expect("more draws than fields");
+            match field {
+                Field::Text(v) => *v = text,
+                Field::U64(v) => *v = int,
+                Field::U32(v) => *v = 1 + (int % 2000) as u32,
+                Field::Usize(v) => *v = int as usize,
+                // Fault intensities stay inside `FaultProfile::validate`'s
+                // envelope (decode rejects invalid profiles).
+                Field::F64(v) if key.starts_with("fault_") => *v = unit,
+                Field::F64(v) | Field::Exact(v) => *v = float,
+                Field::Bool(v) | Field::Flag(v) => *v = int % 2 == 1,
+                Field::Choice { names, index, .. } => *index = int as usize % names.len(),
+                // `None` — the fault-free default — often enough that
+                // both branches stay covered.
+                Field::Optional { names, index, .. } => {
+                    *index = (int as usize % (names.len() + 1)).checked_sub(1);
+                }
+            }
+            Ok(())
+        });
+        filled.expect("the filling visitor never fails");
+        spec
+    })
 }
 
-fn fault_summary() -> impl Strategy<Value = FaultSummary> {
-    (
-        (
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            any_f64(),
-            0u64..=u64::MAX,
-        ),
-        (
-            0u64..=u64::MAX,
-            any_f64(),
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            any_f64(),
-        ),
-        (0u64..=u64::MAX, 0u64..=u64::MAX),
-    )
-        .prop_map(
-            |(
-                (lost_refreshes, retransmits, outages, outage_seconds, dropped_in_outage),
-                (crashes, down_seconds, missed_updates, resync_quotes, epoch_divergence),
-                (stale_drops, superseded_retries),
-            )| FaultSummary {
-                lost_refreshes,
-                retransmits,
-                outages,
-                outage_seconds,
-                dropped_in_outage,
-                crashes,
-                down_seconds,
-                missed_updates,
-                resync_quotes,
-                epoch_divergence,
-                stale_drops,
-                superseded_retries,
-            },
-        )
-}
-
+/// Random reports, filled through the report's own field walk so a new
+/// field is generated (and compared) without touching this file: one
+/// `(integer, float)` draw per slot, the slot's type picking which.
 fn report() -> impl Strategy<Value = RunReport> {
-    (
-        (
-            0usize..1_000_000,
-            any_f64(),
-            any_f64(),
-            any_f64(),
-            any_f64(),
-        ),
-        (any_f64(), 0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
-        (
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            0usize..=usize::MAX,
-            any_f64(),
-        ),
-        (0u64..1_000_000, any_f64(), any_f64(), any_f64(), any_f64()),
-        fault_summary(),
-    )
-        .prop_map(
-            |(
-                (objects, total_unweighted, total_weighted, mean_unweighted, mean_weighted),
-                (max_unweighted, refreshes_applied, refreshes_sent, refreshes_delivered),
-                (feedback_messages, polls_sent, max_cache_queue, mean_queue_wait),
-                (count, mean, m2, min, max),
-                faults,
-            )| RunReport {
-                divergence: DivergenceReport {
-                    objects,
-                    total_unweighted,
-                    total_weighted,
-                    mean_unweighted,
-                    mean_weighted,
-                    max_unweighted,
-                    refreshes_applied,
-                },
-                refreshes_sent,
-                refreshes_delivered,
-                feedback_messages,
-                polls_sent,
-                max_cache_queue,
-                mean_queue_wait,
-                threshold_stats: RunningStats::from_raw(RawRunningStats {
-                    count,
-                    mean,
-                    m2,
-                    min,
-                    max,
-                }),
-                updates_processed: feedback_messages ^ polls_sent,
-                faults,
-            },
-        )
+    prop::collection::vec((0u64..=u64::MAX, any_f64()), DRAWS).prop_map(|draws| {
+        let mut draws = draws.into_iter();
+        let mut report = RunReport::default();
+        let Ok(()) = report.walk(|_, slot| {
+            let (int, float) = draws.next().expect("more draws than fields");
+            match slot {
+                Slot::U64(v) => *v = int,
+                Slot::Usize(v) => *v = int as usize,
+                Slot::F64(v) => *v = float,
+            }
+            Ok::<(), Infallible>(())
+        });
+        report
+    })
 }
 
 /// Mutilates `text` deterministically from `(kind, a, b)` draws.
@@ -389,42 +197,7 @@ proptest! {
     fn random_reports_round_trip_bit_exact(r in report()) {
         let text = encode_report(&r);
         let back = decode_report(&text).expect("encoded reports decode");
-        prop_assert_eq!(r.divergence.objects, back.divergence.objects);
-        prop_assert_eq!(r.divergence.total_unweighted.to_bits(),
-                        back.divergence.total_unweighted.to_bits());
-        prop_assert_eq!(r.divergence.total_weighted.to_bits(),
-                        back.divergence.total_weighted.to_bits());
-        prop_assert_eq!(r.divergence.mean_unweighted.to_bits(),
-                        back.divergence.mean_unweighted.to_bits());
-        prop_assert_eq!(r.divergence.mean_weighted.to_bits(),
-                        back.divergence.mean_weighted.to_bits());
-        prop_assert_eq!(r.divergence.max_unweighted.to_bits(),
-                        back.divergence.max_unweighted.to_bits());
-        prop_assert_eq!(r.divergence.refreshes_applied, back.divergence.refreshes_applied);
-        prop_assert_eq!(r.refreshes_sent, back.refreshes_sent);
-        prop_assert_eq!(r.refreshes_delivered, back.refreshes_delivered);
-        prop_assert_eq!(r.feedback_messages, back.feedback_messages);
-        prop_assert_eq!(r.polls_sent, back.polls_sent);
-        prop_assert_eq!(r.max_cache_queue, back.max_cache_queue);
-        prop_assert_eq!(r.mean_queue_wait.to_bits(), back.mean_queue_wait.to_bits());
-        prop_assert_eq!(r.updates_processed, back.updates_processed);
-        let (a, b) = (r.threshold_stats.to_raw(), back.threshold_stats.to_raw());
-        prop_assert_eq!(a.count, b.count);
-        prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-        prop_assert_eq!(a.m2.to_bits(), b.m2.to_bits());
-        prop_assert_eq!(a.min.to_bits(), b.min.to_bits());
-        prop_assert_eq!(a.max.to_bits(), b.max.to_bits());
-        let (fa, fb) = (&r.faults, &back.faults);
-        prop_assert_eq!(fa.lost_refreshes, fb.lost_refreshes);
-        prop_assert_eq!(fa.retransmits, fb.retransmits);
-        prop_assert_eq!(fa.outages, fb.outages);
-        prop_assert_eq!(fa.outage_seconds.to_bits(), fb.outage_seconds.to_bits());
-        prop_assert_eq!(fa.dropped_in_outage, fb.dropped_in_outage);
-        prop_assert_eq!(fa.crashes, fb.crashes);
-        prop_assert_eq!(fa.down_seconds.to_bits(), fb.down_seconds.to_bits());
-        prop_assert_eq!(fa.missed_updates, fb.missed_updates);
-        prop_assert_eq!(fa.resync_quotes, fb.resync_quotes);
-        prop_assert_eq!(fa.epoch_divergence.to_bits(), fb.epoch_divergence.to_bits());
+        prop_assert_eq!(r.first_difference(&back), None);
         // And the text itself is a fixpoint.
         prop_assert_eq!(text, encode_report(&back));
     }

@@ -58,4 +58,4 @@ pub use supervisor::{
     WorkerSpawn,
 };
 pub use transport::TransportKind;
-pub use worker::{worker_main, Fault, ABORT_ENV, CONNECT_FLAG, FAULT_ENV, TOKEN_FLAG, WORKER_FLAG};
+pub use worker::{worker_main, Fault, CONNECT_FLAG, FAULT_ENV, TOKEN_FLAG, WORKER_FLAG};

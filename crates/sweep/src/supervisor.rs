@@ -51,7 +51,7 @@ use crate::backoff::BackoffPolicy;
 use crate::pool::{default_threads, parallel_map};
 use crate::protocol::{self, Response};
 use crate::transport::{make_transport, StderrTail, TransportKind, WorkerLink, WorkerTransport};
-use crate::worker::{ABORT_ENV, FAULT_ENV, WORKER_FLAG};
+use crate::worker::{FAULT_ENV, WORKER_FLAG};
 
 /// How a sweep distributes its specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +193,34 @@ impl SweepOptions {
             shards,
             ..SweepOptions::default()
         }
+    }
+
+    /// Applies one of the sweep CLI flags every binary shares —
+    /// `--shards N`, `--workers pipes|tcp[://HOST:PORT]`,
+    /// `--spec-deadline SECS` (`0` disables the deadline) — so they parse
+    /// and validate the same way everywhere.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag and what it expects.
+    pub fn apply_flag(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        match flag {
+            "--shards" => {
+                self.shards = Shards::parse(value).ok_or_else(|| {
+                    format!("--shards needs a worker count (0 = in-process), got `{value}`")
+                })?;
+            }
+            "--workers" => self.transport = TransportKind::parse(value)?,
+            "--spec-deadline" => {
+                let secs = value.parse::<f64>().ok();
+                let secs = secs.filter(|s| s.is_finite() && *s >= 0.0).ok_or_else(|| {
+                    format!("--spec-deadline needs seconds (0 disables it), got `{value}`")
+                })?;
+                self.spec_deadline = (secs > 0.0).then(|| Duration::from_secs_f64(secs));
+            }
+            other => return Err(format!("`{other}` is not a sweep flag")),
+        }
+        Ok(())
     }
 }
 
@@ -617,7 +645,6 @@ impl Supervisor<'_> {
             // neither the explicit per-sweep env nor anything leaking in
             // from the supervisor's own environment.
             cmd.env_remove(FAULT_ENV);
-            cmd.env_remove(ABORT_ENV);
             for (k, _) in &self.opts.worker_env {
                 cmd.env_remove(k);
             }

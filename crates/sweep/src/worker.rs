@@ -23,8 +23,7 @@
 //!
 //! Setting [`FAULT_ENV`] makes the worker misbehave deterministically —
 //! the harness every fault-class test is built on (see [`Fault`]). The
-//! legacy [`ABORT_ENV`] hook is kept as an alias for `abort:<n>`. The
-//! supervisor strips both variables from respawned replacements, so
+//! supervisor strips the variable from respawned replacements, so
 //! injected faults never cascade past the first incarnation.
 
 use std::io::{BufRead, BufReader, Write};
@@ -56,10 +55,6 @@ pub const TOKEN_FLAG: &str = "--connect-token";
 /// Every fault-class end-to-end test drives the worker through this
 /// variable. Cleared by the supervisor on respawn.
 pub const FAULT_ENV: &str = "BESYNC_SWEEP_FAULT";
-
-/// Legacy fault-injection hook from the first sharded-runner PR: when
-/// set to `k`, behaves exactly like `BESYNC_SWEEP_FAULT=abort:k`.
-pub const ABORT_ENV: &str = "BESYNC_SWEEP_ABORT_AFTER";
 
 /// One injectable worker misbehaviour. `<n>` counts received `SPEC`
 /// lines (1-based); `PING`s don't count.
@@ -165,25 +160,14 @@ impl Fault {
         }
     }
 
-    /// Reads the injected fault from the environment: [`FAULT_ENV`]
-    /// first, the legacy [`ABORT_ENV`] (= `abort:<k>`) as fallback.
-    /// Malformed values are reported on stderr and ignored — a typo in
-    /// a test hook must not change production behaviour silently.
+    /// Reads the injected fault from [`FAULT_ENV`]. A malformed value is
+    /// reported on stderr and ignored — a typo in a test hook must not
+    /// change production behaviour silently.
     fn from_env() -> Option<Fault> {
-        if let Ok(spec) = std::env::var(FAULT_ENV) {
-            match Fault::parse(&spec) {
-                Ok(f) => return Some(f),
-                Err(e) => eprintln!("sweep-worker: ignoring {FAULT_ENV}: {e}"),
-            }
-        }
-        let legacy = std::env::var(ABORT_ENV).ok()?;
-        match legacy.parse() {
-            Ok(nth) => Some(Fault::Abort { nth }),
-            Err(_) => {
-                eprintln!("sweep-worker: ignoring {ABORT_ENV}: bad count `{legacy}`");
-                None
-            }
-        }
+        let spec = std::env::var(FAULT_ENV).ok()?;
+        Fault::parse(&spec)
+            .map_err(|e| eprintln!("sweep-worker: ignoring {FAULT_ENV}: {e}"))
+            .ok()
     }
 
     /// Announces the fault on stderr just before it fires, so the

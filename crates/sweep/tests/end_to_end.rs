@@ -14,7 +14,7 @@ use std::time::Duration;
 use besync_scenarios::{by_name, ScenarioSpec};
 use besync_sweep::{
     sweep, BackoffPolicy, Shards, SweepOptions, SweepOutcome, SweepRun, TransportKind, WorkerSpawn,
-    ABORT_ENV, CONNECT_FLAG, FAULT_ENV, TOKEN_FLAG,
+    CONNECT_FLAG, FAULT_ENV, TOKEN_FLAG,
 };
 
 fn worker_bin() -> WorkerSpawn {
@@ -165,12 +165,9 @@ fn tcp_transport_matches_pipes_bit_for_bit() {
 
 #[test]
 fn crashing_workers_respawn_and_the_merge_is_unchanged() {
-    // Legacy knob spelling: every initial worker aborts on receiving its
-    // 2nd spec; respawned replacements are clean.
-    let mut opts = sharded(2);
-    opts.worker_env
-        .push((ABORT_ENV.to_string(), "2".to_string()));
-    assert_recovers(&opts, 1);
+    // Every initial worker aborts on receiving its 2nd spec; respawned
+    // replacements are clean.
+    assert_recovers(&with_fault(sharded(2), "abort:2"), 1);
 }
 
 #[test]

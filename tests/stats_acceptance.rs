@@ -26,8 +26,8 @@
 //! change with:
 //!
 //! ```text
-//! besync-bench verify --accept stats --seeds 8  --quick --record
-//! besync-bench verify --accept stats --seeds 32 --record
+//! besync-bench verify --seeds 8  --quick --record
+//! besync-bench verify --seeds 32 --record
 //! ```
 
 use besync_scenarios::by_name;

@@ -19,9 +19,7 @@ use std::time::Duration;
 
 use besync_experiments::output::render_csv;
 use besync_experiments::{fig4, fig6, params, Mode};
-use besync_sweep::{
-    BackoffPolicy, Shards, SweepOptions, TransportKind, WorkerSpawn, ABORT_ENV, FAULT_ENV,
-};
+use besync_sweep::{BackoffPolicy, Shards, SweepOptions, TransportKind, WorkerSpawn, FAULT_ENV};
 
 /// Locates the `experiments` binary next to this test executable
 /// (`target/<profile>/deps/<test>-<hash>` → `target/<profile>/`),
@@ -228,7 +226,7 @@ fn worker_killed_mid_grid_still_merges_byte_identically() {
     let mut crashy = opts(Shards::Workers(3));
     crashy
         .worker_env
-        .push((ABORT_ENV.to_string(), "2".to_string()));
+        .push((FAULT_ENV.to_string(), "abort:2".to_string()));
     let merged = render_csv(&fig4::run_with(Mode::Quick, SEED, &crashy).unwrap());
     assert_eq!(
         in_process, merged,
