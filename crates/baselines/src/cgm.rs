@@ -220,8 +220,8 @@ impl CgmSystem {
         }
 
         let loss = cfg.fault.and_then(|profile| {
-            profile.validate().expect("invalid fault profile");
-            (profile.loss_prob > 0.0).then(|| LossLane::new(cfg.sim_seed, 0, profile.loss_prob))
+            let lane = profile.loss_only_lane(cfg.sim_seed, cfg.variant.name());
+            lane.unwrap_or_else(|e| panic!("invalid fault profile: {e}"))
         });
 
         let poller = Poller {

@@ -137,18 +137,51 @@ proptest! {
     }
 }
 
+/// The retired bracket-and-bisect inversion of `g(r) = 1 − e^{−r}(1+r)`,
+/// kept as the oracle for the Newton solver: slow, simple, and correct
+/// to its ~1e-12 bracket width.
+fn invert_g_bisect(y: f64) -> f64 {
+    // ∂F/∂f at λ = 1 is g(1/f).
+    let g = |r: f64| marginal_gain(1.0, 1.0 / r);
+    debug_assert!((0.0..1.0).contains(&y));
+    if y <= 0.0 {
+        return 0.0;
+    }
+    let mut lo = 0.0_f64;
+    let mut hi = 1.0_f64;
+    while g(hi) < y {
+        hi *= 2.0;
+        if hi > 1e9 {
+            return hi;
+        }
+    }
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if g(mid) < y {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if hi - lo < 1e-12 * hi.max(1.0) {
+            break;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 // The Newton inversion that replaced the bracket-and-bisect solver in
 // PR 7, checked against the retired solver kept as an oracle. The
-// tolerance mirrors the solver's debug assertion: a relative band plus
-// a conditioning term ε/g′(r), because near y → 1 the curve is flat at
-// f64 resolution and bisection cannot resolve r any tighter than that.
+// tolerance is a relative band plus a conditioning term ε/g′(r), because
+// near y → 1 the curve is flat at f64 resolution and bisection cannot
+// resolve r any tighter than that; below y ≈ 1e-9 the oracle's
+// *absolute* bracket width is coarser than Newton's answer.
 proptest! {
     /// Newton and bisection agree on g⁻¹ across the oracle's usable
     /// domain (y ≥ 1e-9; below that bisection's fixed absolute bracket
     /// is coarser than Newton's answer).
     #[test]
     fn invert_g_newton_matches_bisection(y in 1e-9f64..0.999_999_999) {
-        use besync_baselines::freshness::{invert_g, invert_g_bisect};
+        use besync_baselines::freshness::invert_g;
         let rn = invert_g(y);
         let rb = invert_g_bisect(y);
         let conditioning = 4.0 * f64::EPSILON / (rb * (-rb).exp());
@@ -166,7 +199,6 @@ proptest! {
         rates in prop::collection::vec(0.01f64..5.0, 2..12),
         budget in 0.1f64..20.0,
     ) {
-        use besync_baselines::freshness::invert_g_bisect;
         let freqs = allocate(&rates, budget);
 
         // Reference: pure outer bisection on µ over the bisection

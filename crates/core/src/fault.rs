@@ -149,6 +149,32 @@ impl FaultProfile {
         }
         Ok(())
     }
+
+    /// The loss lane of a system `kind` that models refresh loss and
+    /// nothing else (the omniscient ideal, the CGM pollers): `None` when
+    /// the profile loses nothing.
+    ///
+    /// # Errors
+    ///
+    /// The profile is invalid, or it sets a field `kind` would have to
+    /// ignore — an outage or crash rate, a recovery policy other than
+    /// degrade-to-stale, `aware`. The message names the kind and the
+    /// field.
+    pub fn loss_only_lane(&self, sim_seed: u64, kind: &str) -> Result<Option<LossLane>, String> {
+        self.validate()?;
+        let unsupported = [
+            ("outage_rate", self.outage_rate > 0.0),
+            ("crash_rate", self.crash_rate > 0.0),
+            ("recovery", self.recovery != RecoveryPolicy::DegradeStale),
+            ("aware", self.aware),
+        ];
+        if let Some((field, _)) = unsupported.iter().find(|(_, set)| *set) {
+            return Err(format!(
+                "the {kind} system models refresh loss only and would ignore `{field}`"
+            ));
+        }
+        Ok((self.loss_prob > 0.0).then(|| LossLane::new(sim_seed, 0, self.loss_prob)))
+    }
 }
 
 /// Hash bits → uniform in `[0, 1)` (the standard 53-bit mantissa fill).
@@ -427,6 +453,35 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn loss_only_lane_names_the_kind_and_the_ignored_field() {
+        let lane = |p: FaultProfile| p.loss_only_lane(7, "cgm2");
+        assert!(lane(FaultProfile::default()).unwrap().is_none());
+        let mut got = lane(lossy(0.25)).unwrap().unwrap();
+        let mut want = LossLane::new(7, 0, 0.25);
+        assert!((0..1000).all(|_| got.draw() == want.draw()));
+        assert!(lane(lossy(1.5)).unwrap_err().contains("loss_prob"));
+        type Set = fn(&mut FaultProfile);
+        let ignored: [(&str, Set); 4] = [
+            ("outage_rate", |p| p.outage_rate = 0.1),
+            ("crash_rate", |p| p.crash_rate = 0.1),
+            ("recovery", |p| {
+                p.recovery = RecoveryPolicy::Retransmit { deadline: 3.0 }
+            }),
+            ("aware", |p| p.aware = true),
+        ];
+        for (field, set) in ignored {
+            let mut profile = FaultProfile {
+                outage_duration: 5.0,
+                crash_downtime: 5.0,
+                ..lossy(0.1)
+            };
+            set(&mut profile);
+            let err = lane(profile).unwrap_err();
+            assert!(err.contains("cgm2") && err.contains(field), "{err}");
+        }
     }
 
     #[test]

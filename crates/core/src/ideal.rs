@@ -83,8 +83,8 @@ impl IdealSystem {
             SimTime::ZERO,
         );
         let loss = cfg.fault.and_then(|profile| {
-            profile.validate().expect("invalid fault profile");
-            (profile.loss_prob > 0.0).then(|| LossLane::new(cfg.sim_seed, 0, profile.loss_prob))
+            let lane = profile.loss_only_lane(cfg.sim_seed, "ideal");
+            lane.unwrap_or_else(|e| panic!("invalid fault profile: {e}"))
         });
         let sched = Omniscient {
             layout,

@@ -1,7 +1,7 @@
-//! Regression test: long-horizon runs must not grow the lazy priority
-//! heaps without bound. The heap self-compacts (order-preserving GC) when
-//! stale quotes dominate, so `raw_len` stays within a constant factor of
-//! the live quote count at all times.
+//! Regression test: long-horizon runs must not grow the sources'
+//! priority heaps without bound — `raw_len` stays within a constant
+//! factor of the live quote count at all times (the indexed heap holds
+//! it at exactly one entry per live quote).
 
 use besync::config::SystemConfig;
 use besync::system::CoopSystem;

@@ -1,8 +1,8 @@
 //! Property tests for the core protocol data structures: the production
-//! indexed heap against the lazy-heap oracle, the lazy heap against a
-//! reference model, threshold algebra, and priority invariants.
+//! indexed heap against a brute-force reference model, threshold algebra,
+//! and priority invariants.
 
-use besync::heap::{IndexedMaxHeap, LazyMaxHeap};
+use besync::heap::IndexedMaxHeap;
 use besync::priority::{compute_priority, AreaTracker, PolicyKind, PriorityInputs};
 use besync::source::sampling::SamplingMonitor;
 use besync::threshold::{ThresholdParams, ThresholdState};
@@ -60,11 +60,11 @@ impl Model {
 }
 
 proptest! {
-    /// The lazy heap behaves exactly like the reference model under any
+    /// The heap behaves exactly like the reference model under any
     /// operation sequence.
     #[test]
     fn heap_matches_model(ops in prop::collection::vec(arb_op(16), 1..200)) {
-        let mut heap = LazyMaxHeap::new(16);
+        let mut heap = IndexedMaxHeap::new(16);
         let mut model = Model::default();
         for op in ops {
             match op {
@@ -87,37 +87,10 @@ proptest! {
         }
     }
 
-    /// In-place GC compaction is invisible: a compacted heap pops the
-    /// exact same (priority, item) sequence as its uncompacted clone,
-    /// for any operation sequence.
-    #[test]
-    fn compaction_never_changes_pop_order(ops in prop::collection::vec(arb_op(16), 1..300)) {
-        let mut heap = LazyMaxHeap::new(16);
-        for op in ops {
-            match op {
-                Op::Push(i, p) => heap.push(i, p),
-                Op::Invalidate(i) => heap.invalidate(i),
-                Op::Pop => { let _ = heap.pop_valid(); }
-                Op::Peek => { let _ = heap.peek_valid(); }
-            }
-        }
-        let mut compacted = heap.clone();
-        compacted.compact();
-        prop_assert!(compacted.raw_len() <= heap.raw_len());
-        prop_assert_eq!(compacted.live(), heap.live());
-        loop {
-            let (a, b) = (heap.pop_valid(), compacted.pop_valid());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Compaction (rebuild) preserves exactly the live quotes.
+    /// A rebuild preserves exactly the live quotes.
     #[test]
     fn heap_rebuild_preserves_live(ops in prop::collection::vec(arb_op(12), 1..100)) {
-        let mut heap = LazyMaxHeap::new(12);
+        let mut heap = IndexedMaxHeap::new(12);
         let mut model = Model::default();
         for op in ops {
             match op {
@@ -269,16 +242,14 @@ proptest! {
 proptest! {
     /// The generic indexed heap (behind its priority-flavoured
     /// `IndexedMaxHeap` wrapper — the production scheduler everywhere
-    /// since PR 2) and the [`LazyMaxHeap`] oracle implement the same
-    /// ordering contract: max priority first, FIFO by quote age within a
-    /// tie. Drive both with an identical 20 000-operation stream seeded
-    /// by proptest — pushes drawn from few discrete priority levels so
-    /// ties are constant — and demand identical observations throughout.
-    /// Two structurally different implementations agreeing op-for-op
-    /// makes silent sift bugs loud.
+    /// since PR 2) against the brute-force [`Model`] over a
+    /// 20 000-operation stream seeded by proptest — pushes drawn from
+    /// few discrete priority levels so ties are constant — demanding
+    /// identical observations throughout: max priority first, FIFO by
+    /// quote age within a tie.
     #[test]
     fn indexed_heap_matches_lazy_oracle_20k(seed in 0u64..u64::MAX) {
-        let mut lazy = LazyMaxHeap::new(24);
+        let mut model = Model::default();
         let mut indexed = IndexedMaxHeap::new(24);
         // Deterministic xorshift stream per proptest-chosen seed.
         let mut state = seed | 1;
@@ -293,28 +264,28 @@ proptest! {
                 0..=4 => {
                     let item = (rnd() % 24) as u32;
                     let p = (rnd() % 7) as f64 - 3.0; // few levels → many ties
-                    lazy.push(item, p);
+                    model.push(item, p);
                     indexed.push(item, p);
                 }
                 5 => {
                     let item = (rnd() % 24) as u32;
-                    lazy.invalidate(item);
+                    model.invalidate(item);
                     indexed.invalidate(item);
                 }
                 6 => {
-                    prop_assert_eq!(lazy.pop_valid(), indexed.pop_valid(), "pop at step {}", step);
+                    prop_assert_eq!(model.pop(), indexed.pop_valid(), "pop at step {}", step);
                 }
                 _ => {
-                    prop_assert_eq!(lazy.peek_valid(), indexed.peek_valid(), "peek at step {}", step);
+                    prop_assert_eq!(model.top(), indexed.peek_valid(), "peek at step {}", step);
                 }
             }
-            prop_assert_eq!(lazy.live(), indexed.live());
+            prop_assert_eq!(model.quotes.len(), indexed.live());
             // The indexed representation never stores a stale entry.
             prop_assert_eq!(indexed.raw_len(), indexed.live());
         }
         // Drain both to the end: the full pop order must agree.
         loop {
-            let (a, b) = (lazy.pop_valid(), indexed.pop_valid());
+            let (a, b) = (model.pop(), indexed.pop_valid());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;

@@ -42,9 +42,9 @@
 //! `d * weight` multiply is kept in both paths, so `wintegral` stays
 //! bit-identical to the retired layout.
 //!
-//! The retired array-of-structs implementation survives as
-//! [`crate::aos::AosTruthTable`], the property-test oracle that pins this
-//! layout op-for-op (see `crates/data/tests/oracle.rs`).
+//! The retired array-of-structs implementation survives as the
+//! property-test oracle in `crates/data/tests/oracle.rs`, which pins this
+//! layout op-for-op.
 
 use besync_sim::SimTime;
 
@@ -68,15 +68,6 @@ pub struct ObjectTruth {
 }
 
 impl ObjectTruth {
-    pub(crate) fn synced(value: f64) -> Self {
-        ObjectTruth {
-            source_value: value,
-            source_updates: 0,
-            cached_value: value,
-            cached_updates: 0,
-        }
-    }
-
     /// Divergence of this object under `metric`.
     #[inline]
     pub fn divergence(&self, metric: Metric) -> f64 {

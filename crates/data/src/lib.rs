@@ -13,13 +13,11 @@
 //! different deviation function.
 
 pub mod account;
-pub mod aos;
 pub mod ids;
 pub mod metric;
 pub mod weight;
 
 pub use account::{ObjectTruth, TruthTable};
-pub use aos::{AosTruthTable, DivergenceAccount};
 pub use ids::{ObjectId, SourceId};
 pub use metric::{DeviationFn, Metric};
 pub use weight::{WeightProfile, WeightSet};

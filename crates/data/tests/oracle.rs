@@ -1,15 +1,20 @@
 //! AoS-vs-SoA truth-accounting oracle.
 //!
 //! The SoA [`TruthTable`] replaced the array-of-structs layout that now
-//! lives on as [`AosTruthTable`] (the same pattern as `LazyMaxHeap` for
-//! the schedulers). This randomized equivalence test drives both layouts
-//! through the same 20k-operation trajectory — source updates, stale and
-//! fresh refreshes, a mid-run `begin_measurement`, and periodic reports —
-//! and asserts **bit-identical** truths, divergences, and report fields.
+//! lives on, verbatim, as [`AosTruthTable`] at the bottom of this file:
+//! one [`DivergenceAccount`] per object — truth and fused dual
+//! time-average side by side — plus the weight profile in a parallel
+//! vector, evaluated on every transition. Correct, and exactly what made
+//! `large` scenarios memory-bound. This randomized equivalence test
+//! drives both layouts through the same 20k-operation trajectory — source
+//! updates, stale and fresh refreshes, a mid-run `begin_measurement`, and
+//! periodic reports — and asserts **bit-identical** truths, divergences,
+//! and report fields.
 //! Any divergence means the SoA hot path reordered a floating-point
 //! operation and the golden trajectories are no longer trustworthy.
 
-use besync_data::{AosTruthTable, Metric, ObjectId, TruthTable, WeightProfile};
+use besync_data::account::{DivergenceReport, ObjectTruth};
+use besync_data::{Metric, ObjectId, TruthTable, WeightProfile};
 use besync_sim::{SimTime, Wave};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -26,11 +31,7 @@ fn assert_bits(name: &str, a: f64, b: f64, op: usize) {
     );
 }
 
-fn assert_reports_identical(
-    soa: &besync_data::account::DivergenceReport,
-    aos: &besync_data::account::DivergenceReport,
-    op: usize,
-) {
+fn assert_reports_identical(soa: &DivergenceReport, aos: &DivergenceReport, op: usize) {
     assert_eq!(soa.objects, aos.objects, "objects at op {op}");
     assert_eq!(
         soa.refreshes_applied, aos.refreshes_applied,
@@ -163,6 +164,205 @@ proptest! {
     fn soa_matches_aos_oracle(seed in 0u64..u64::MAX) {
         for metric in Metric::all_three() {
             drive(metric, seed);
+        }
+    }
+}
+
+/// Fused unweighted + weighted time-average pair sharing one clock.
+///
+/// Arithmetic is operation-for-operation identical to two independent
+/// [`besync_sim::stats::TimeAverage`]s updated at the same instants (the
+/// trackers were only ever set together).
+#[derive(Debug, Clone, Copy)]
+struct DualAverage {
+    last_change: SimTime,
+    value: f64,
+    wvalue: f64,
+    integral: f64,
+    wintegral: f64,
+    begin: Option<SimTime>,
+    begin_integral: f64,
+    begin_wintegral: f64,
+}
+
+impl DualAverage {
+    fn new(t0: SimTime) -> Self {
+        DualAverage {
+            last_change: t0,
+            value: 0.0,
+            wvalue: 0.0,
+            integral: 0.0,
+            wintegral: 0.0,
+            begin: None,
+            begin_integral: 0.0,
+            begin_wintegral: 0.0,
+        }
+    }
+
+    /// Updates both tracked values at `t`.
+    #[inline]
+    fn set(&mut self, t: SimTime, value: f64, wvalue: f64) {
+        debug_assert!(t >= self.last_change, "time must be monotonic");
+        let gap = t - self.last_change;
+        self.integral += self.value * gap;
+        self.wintegral += self.wvalue * gap;
+        self.value = value;
+        self.wvalue = wvalue;
+        self.last_change = t;
+    }
+
+    fn begin_measurement(&mut self, t: SimTime) {
+        self.begin = Some(t);
+        let gap = t - self.last_change;
+        self.begin_integral = self.integral + self.value * gap;
+        self.begin_wintegral = self.wintegral + self.wvalue * gap;
+    }
+
+    /// Time-averages `(unweighted, weighted)` over `[begin, t]`;
+    /// zero-length windows yield 0, like `TimeAverage::average`.
+    fn averages(&self, t: SimTime) -> (f64, f64) {
+        let begin = self.begin.expect("begin_measurement was never called");
+        let span = t - begin;
+        if span <= 0.0 {
+            (0.0, 0.0)
+        } else {
+            let gap = t - self.last_change;
+            (
+                (self.integral + self.value * gap - self.begin_integral) / span,
+                (self.wintegral + self.wvalue * gap - self.begin_wintegral) / span,
+            )
+        }
+    }
+}
+
+/// Per-object divergence accounting (truth + integrals), array-of-structs
+/// style.
+#[derive(Debug, Clone, Copy)]
+pub struct DivergenceAccount {
+    truth: ObjectTruth,
+    averages: DualAverage,
+}
+
+/// The retired AoS ground-truth table. Same public surface as
+/// [`TruthTable`]; kept only as the randomized-equivalence oracle.
+#[derive(Debug, Clone)]
+pub struct AosTruthTable {
+    metric: Metric,
+    weights: Vec<WeightProfile>,
+    accounts: Vec<DivergenceAccount>,
+    refreshes_applied: u64,
+}
+
+impl AosTruthTable {
+    /// Creates a table where every cached copy starts synchronized with its
+    /// source value (`initial_values`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial_values` and `weights` lengths differ.
+    pub fn new(metric: Metric, initial_values: &[f64], weights: Vec<WeightProfile>) -> Self {
+        assert_eq!(
+            initial_values.len(),
+            weights.len(),
+            "one weight profile per object required"
+        );
+        let accounts = initial_values
+            .iter()
+            .map(|&v| DivergenceAccount {
+                truth: ObjectTruth {
+                    source_value: v,
+                    source_updates: 0,
+                    cached_value: v,
+                    cached_updates: 0,
+                },
+                averages: DualAverage::new(SimTime::ZERO),
+            })
+            .collect();
+        AosTruthTable {
+            metric,
+            weights,
+            accounts,
+            refreshes_applied: 0,
+        }
+    }
+
+    /// The current truth of one object (by value, mirroring
+    /// [`TruthTable::truth`]).
+    pub fn truth(&self, obj: ObjectId) -> ObjectTruth {
+        self.accounts[obj.index()].truth
+    }
+
+    /// Current divergence of `obj`.
+    pub fn divergence(&self, obj: ObjectId) -> f64 {
+        self.truth(obj).divergence(self.metric)
+    }
+
+    /// Total number of refreshes applied at the cache so far.
+    pub fn refreshes_applied(&self) -> u64 {
+        self.refreshes_applied
+    }
+
+    /// Records an update of `obj` at the source; returns `W(O, t)`.
+    pub fn source_update(&mut self, t: SimTime, obj: ObjectId, new_value: f64) -> f64 {
+        let weight = self.weights[obj.index()].weight_at(t);
+        let acct = &mut self.accounts[obj.index()];
+        acct.truth.source_value = new_value;
+        acct.truth.source_updates += 1;
+        let d = acct.truth.divergence(self.metric);
+        acct.averages.set(t, d, d * weight);
+        weight
+    }
+
+    /// Records delivery of a refresh at the cache at time `t`.
+    pub fn apply_refresh(
+        &mut self,
+        t: SimTime,
+        obj: ObjectId,
+        snapshot_value: f64,
+        snapshot_updates: u64,
+    ) {
+        let weight = self.weights[obj.index()].weight_at(t);
+        let acct = &mut self.accounts[obj.index()];
+        acct.truth.cached_value = snapshot_value;
+        acct.truth.cached_updates = snapshot_updates;
+        let d = acct.truth.divergence(self.metric);
+        acct.averages.set(t, d, d * weight);
+        self.refreshes_applied += 1;
+    }
+
+    /// Applies a refresh with the *current* source state.
+    pub fn apply_fresh_refresh(&mut self, t: SimTime, obj: ObjectId) {
+        let truth = self.accounts[obj.index()].truth;
+        self.apply_refresh(t, obj, truth.source_value, truth.source_updates);
+    }
+
+    /// Marks the end of warm-up: averages are measured from `t` onward.
+    pub fn begin_measurement(&mut self, t: SimTime) {
+        for acct in &mut self.accounts {
+            acct.averages.begin_measurement(t);
+        }
+    }
+
+    /// Summarizes divergence over the measurement window ending at `t`.
+    pub fn report(&self, t: SimTime) -> DivergenceReport {
+        let mut total_unweighted = 0.0;
+        let mut total_weighted = 0.0;
+        let mut max_unweighted: f64 = 0.0;
+        for acct in &self.accounts {
+            let (u, w) = acct.averages.averages(t);
+            total_unweighted += u;
+            total_weighted += w;
+            max_unweighted = max_unweighted.max(u);
+        }
+        let n = self.accounts.len().max(1) as f64;
+        DivergenceReport {
+            objects: self.accounts.len(),
+            total_unweighted,
+            total_weighted,
+            mean_unweighted: total_unweighted / n,
+            mean_weighted: total_weighted / n,
+            max_unweighted,
+            refreshes_applied: self.refreshes_applied,
         }
     }
 }

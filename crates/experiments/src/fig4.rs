@@ -221,23 +221,6 @@ pub fn run_with(mode: Mode, seed: u64, opts: &SweepOptions) -> Result<Vec<Fig4Ro
         .collect())
 }
 
-/// Runs a single grid cell in the calling thread — exposed for benches.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell(
-    metric: Metric,
-    m: u32,
-    n: u32,
-    bs: f64,
-    bc: f64,
-    mb: f64,
-    measure: f64,
-    seed: u64,
-) -> Fig4Row {
-    let cell = (metric, m, n, bs, bc, mb);
-    let [ideal, ours] = cell_specs(cell, measure, seed);
-    cell_row(cell, &ideal.run(), &ours.run())
-}
-
 /// Summary statistics the paper's Figure 4 conveys: the ratio by x-band.
 pub fn summarize(rows: &[Fig4Row]) -> Vec<(String, f64)> {
     // Median ratio for low/mid/high thirds of the achievable-divergence

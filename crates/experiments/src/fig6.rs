@@ -198,14 +198,6 @@ fn point_row(m: u32, n: u32, fraction: f64, reports: &[&RunReport]) -> Fig6Row {
     }
 }
 
-/// Runs a single (m, fraction) point in the calling thread — exposed for
-/// benches.
-pub fn run_point(m: u32, n: u32, fraction: f64, measure: f64, seed: u64) -> Fig6Row {
-    let specs = point_specs(m, n, fraction, measure, seed);
-    let reports: Vec<RunReport> = specs.iter().map(ScenarioSpec::run).collect();
-    point_row(m, n, fraction, &reports.iter().collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

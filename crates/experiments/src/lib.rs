@@ -32,7 +32,7 @@ pub mod validate;
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Seconds; used by integration tests and benches.
+    /// Seconds; used by integration tests.
     Quick,
     /// Minutes; the EXPERIMENTS.md reference scale.
     Standard,

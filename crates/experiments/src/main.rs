@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use besync_experiments::output::{render_table, write_csv, Row};
 use besync_experiments::{bounds, competitive, fig4, fig5, fig6, params, sampling, validate, Mode};
-use besync_sweep::SweepOptions;
+use besync_sweep::{value, SweepOptions};
 
 struct Manifest<'a> {
     experiment: &'a str,
@@ -169,13 +169,7 @@ fn run_command(cmd: &str, opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    // Hidden worker mode: when the sweep supervisor re-execs this binary
-    // it must become a protocol worker before any argument parsing.
-    if std::env::args().nth(1).as_deref() == Some(besync_sweep::WORKER_FLAG) {
-        return besync_sweep::worker_main();
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut cmd: Option<String> = None;
     let mut opts = Opts {
         mode: Mode::Standard,
@@ -183,50 +177,38 @@ fn main() -> ExitCode {
         out: PathBuf::from("results"),
         sweep: SweepOptions::default(),
     };
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--mode" => {
-                let v = it.next().unwrap_or_default();
-                match Mode::parse(&v) {
-                    Some(m) => opts.mode = m,
-                    None => {
-                        eprintln!("invalid --mode `{v}` (quick|standard|full)");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let name: String = value(&a, &mut args)?;
+                opts.mode = Mode::parse(&name)
+                    .ok_or_else(|| format!("--mode is quick, standard or full, not `{name}`"))?;
             }
-            "--seed" => match it.next().unwrap_or_default().parse() {
-                Ok(s) => opts.seed = s,
-                Err(_) => {
-                    eprintln!("invalid --seed");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => opts.out = PathBuf::from(it.next().unwrap_or_default()),
-            flag @ ("--shards" | "--workers" | "--spec-deadline") => {
-                let v = it.next().unwrap_or_default();
-                if let Err(e) = opts.sweep.apply_flag(flag, &v) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
+            "--seed" => opts.seed = value(&a, &mut args)?,
+            "--out" => opts.out = value(&a, &mut args)?,
+            "--shards" | "--workers" | "--spec-deadline" => {
+                opts.sweep
+                    .apply_flag(&a, &value::<String>(&a, &mut args)?)?;
             }
             "--help" | "-h" => {
-                println!("{}", HELP);
-                return ExitCode::SUCCESS;
+                println!("{HELP}");
+                return Ok(());
             }
             other if cmd.is_none() && !other.starts_with('-') => cmd = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unexpected argument `{other}` (see --help)")),
         }
     }
-    let Some(cmd) = cmd else {
-        println!("{}", HELP);
-        return ExitCode::FAILURE;
-    };
-    match run_command(&cmd, &opts) {
+    let cmd = cmd.ok_or_else(|| format!("no command given\n{HELP}"))?;
+    run_command(&cmd, &opts)
+}
+
+fn main() -> ExitCode {
+    // Hidden worker mode: when the sweep supervisor re-execs this binary
+    // it must become a protocol worker before any argument parsing.
+    if std::env::args().nth(1).as_deref() == Some(besync_sweep::WORKER_FLAG) {
+        return besync_sweep::worker_main();
+    }
+    match run(std::env::args().skip(1)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

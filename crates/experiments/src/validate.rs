@@ -75,7 +75,7 @@ fn ns_for(mode: Mode) -> Vec<u32> {
     }
 }
 
-/// Runs the area-vs-simple comparison on one workload — exposed for benches.
+/// Runs the area-vs-simple comparison on one workload.
 pub fn run_pair(spec: &WorkloadSpec, metric: Metric, measure: f64) -> (f64, f64) {
     let cfg = |policy: PolicyKind| SystemConfig {
         metric,

@@ -1,7 +1,7 @@
 //! Shared scenario layer.
 //!
-//! Every consumer of the simulator — the `besync-bench` throughput
-//! harness, the figure-regeneration experiments, and the golden
+//! Every consumer of the simulator — the `besync-bench` counter
+//! gate, the figure-regeneration experiments, and the golden
 //! trajectory tests — used to hand-roll its own workload + config
 //! construction. This crate replaces those with one declarative
 //! [`ScenarioSpec`]: a plain-data description of a run (system kind,

@@ -42,7 +42,7 @@ impl SystemKind {
         ("competitive", SystemKind::Competitive),
     ];
 
-    /// Short stable name (used in bench JSON and the codec).
+    /// Short stable name (used in the gate's table and the codec).
     pub fn name(self) -> &'static str {
         let entry = Self::NAMES.iter().find(|(_, kind)| *kind == self);
         entry.expect("every kind is in NAMES").0
@@ -692,6 +692,51 @@ mod tests {
         let _ = ScenarioSpec::builder("bad")
             .buoy(BuoyConfig::quick())
             .rate_range(0.1, 1.0);
+    }
+
+    /// Ideal and CGM model refresh loss only: `build()` refuses a profile
+    /// it would have to ignore part of, and a loss-only profile replays
+    /// the run recorded before the refusal existed.
+    fn loss_only(name: &str, kind: &str, lost: u64, delivered: u64, divergence_bits: u64) {
+        let lossy = FaultProfile {
+            loss_prob: 0.2,
+            ..FaultProfile::default()
+        };
+        let mut spec = crate::by_name(name).unwrap().quick();
+        spec.fault = Some(lossy);
+        let r = spec.run();
+        assert_eq!(
+            (r.faults.lost_refreshes, r.refreshes_delivered),
+            (lost, delivered)
+        );
+        assert_eq!(r.mean_divergence().to_bits(), divergence_bits);
+        spec.fault = Some(FaultProfile {
+            outage_rate: 0.01,
+            outage_duration: 5.0,
+            ..lossy
+        });
+        let refused = std::panic::catch_unwind(|| spec.build()).err();
+        let refused = refused.expect("an outage profile was accepted");
+        let message = refused.downcast_ref::<String>().expect("a panic message");
+        assert!(
+            message.contains(kind) && message.contains("`outage_rate`"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn ideal_takes_loss_and_refuses_outages() {
+        loss_only("ideal_medium", "ideal", 724, 2763, 0x3fe693932aae8012);
+    }
+
+    #[test]
+    fn cgm1_takes_loss_and_refuses_outages() {
+        loss_only("cgm1_medium", "CGM1", 860, 3361, 0x3fe2b0b0852ebf09);
+    }
+
+    #[test]
+    fn cgm2_takes_loss_and_refuses_outages() {
+        loss_only("cgm2_medium", "CGM2", 797, 3419, 0x3fe263b9ed623f5a);
     }
 
     #[test]

@@ -4,19 +4,19 @@
 //! A discrete-event simulation of the paper's system has a very regular
 //! event population: each object has **exactly one** pending update, plus
 //! a couple of singleton bookkeeping events (the per-second tick, the end
-//! of warm-up). A general [`EventQueue`](crate::EventQueue) pays for that
-//! generality twice: every event carries an enum payload through a
-//! `BinaryHeap`, and the dominant update→next-update pattern costs a full
-//! pop + push. [`CalendarQueue`] is the slot-addressed alternative — a
-//! bucket queue with amortized O(1) schedule and pop, and **what the one
-//! simulation event loop uses** (`besync::kernel::Kernel`, under every
-//! system). Minimal API (no cancel, no in-place reschedule).
+//! of warm-up). A general queue of event payloads pays for that generality
+//! twice: every event carries an enum payload through a `BinaryHeap`, and
+//! the dominant update→next-update pattern costs a full pop + push.
+//! [`CalendarQueue`] is the slot-addressed alternative — a bucket queue
+//! with amortized O(1) schedule and pop, and **what the one simulation
+//! event loop uses** (`besync::kernel::Kernel`, under every system).
+//! Minimal API (no cancel, no in-place reschedule).
 //!
-//! It orders identically to `EventQueue`: ascending time, FIFO within an
-//! instant (a global sequence number stamps each `schedule`, and entries
-//! compare as `(time, seq)`). Determinism-sensitive callers can therefore
-//! swap the two without perturbing event order — the golden report tests
-//! in the workspace root pin exactly that.
+//! It orders like a `BinaryHeap` of `(time, seq, slot)`: ascending time,
+//! FIFO within an instant (a global sequence number stamps each
+//! `schedule`, and entries compare as `(time, seq)`) — the oracle the
+//! tests here and in `tests/props.rs` drive it against, and the order the
+//! golden report tests in the workspace root pin.
 
 use crate::time::SimTime;
 
@@ -39,11 +39,9 @@ struct Entry {
 /// comparison each. Unlike a binary heap, no operation chases pointers
 /// through log n cache lines: the hot bucket is one contiguous line.
 ///
-/// Same ordering contract as [`EventQueue`](crate::EventQueue):
-/// ascending time, FIFO within an instant via a global schedule seq
-/// (equal times always land in the same bucket, where the min-scan
-/// breaks ties by seq). The golden report tests pin that the two are
-/// interchangeable.
+/// Ordering contract: ascending time, FIFO within an instant via a
+/// global schedule seq (equal times always land in the same bucket,
+/// where the min-scan breaks ties by seq).
 ///
 /// This queue intentionally supports only the operations the hot loop
 /// needs: `schedule` and `pop_at_or_before`. No cancel, no in-place
@@ -458,13 +456,16 @@ mod tests {
         assert_eq!(q.pop_at_or_before(horizon), Some((t(40.1), 2)));
     }
 
-    /// The calendar queue pops the identical (time, slot) sequence as the
-    /// generic EventQueue under a self-rescheduling workload with
-    /// deliberate integer-time ties (the Bernoulli pattern).
+    /// The calendar queue pops the identical (time, slot) sequence as a
+    /// `std` `BinaryHeap` of `(time, seq, slot)` under a self-rescheduling
+    /// workload with deliberate integer-time ties (the Bernoulli pattern).
     #[test]
     fn calendar_matches_event_queue_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
         let mut cq = CalendarQueue::new(32, 0.3);
-        let mut eq = crate::EventQueue::new();
+        let mut reference = BinaryHeap::new();
+        let mut seq = 0u64..;
         let mut state = 0xA076_1D64_78BD_642Fu64;
         let mut rnd = move || {
             state ^= state << 13;
@@ -480,20 +481,21 @@ mod tests {
                 t((rnd() % 1600) as f64 * 0.01)
             };
             cq.schedule(slot, at);
-            eq.schedule(at, slot);
+            reference.push(Reverse((at, seq.next(), slot)));
         }
         let horizon = t(1e9);
         for _ in 0..20_000 {
             let (at, slot) = cq.pop_at_or_before(horizon).unwrap();
-            assert_eq!(eq.pop(), Some((at, slot)));
+            let Reverse((want_at, _, want_slot)) = reference.pop().unwrap();
+            assert_eq!((at, slot), (want_at, want_slot));
             let next = if slot % 2 == 0 {
                 t(at.seconds().floor() + 1.0 + (rnd() % 3) as f64)
             } else {
                 at + (rnd() % 800) as f64 * 0.01
             };
             cq.schedule(slot, next);
-            eq.schedule(next, slot);
-            assert_eq!(cq.now(), eq.now());
+            reference.push(Reverse((next, seq.next(), slot)));
+            assert_eq!(cq.now(), at);
         }
     }
 

@@ -2,10 +2,10 @@
 //! reproduction.
 //!
 //! This crate is deliberately independent of the caching domain: it provides
-//! a simulated clock ([`SimTime`]), deterministic event schedulers (the
-//! generic [`EventQueue`] and the bucket-based [`CalendarQueue`] the
-//! simulation event loop uses), the position-indexed heap the domain
-//! crates' priority schedulers share ([`IndexedHeap`]),
+//! a simulated clock ([`SimTime`]), the deterministic bucket-based event
+//! scheduler the simulation event loop uses ([`CalendarQueue`]), the
+//! position-indexed heap the domain crates' priority schedulers share
+//! ([`IndexedHeap`]),
 //! time-varying signals ([`Wave`]) used to model fluctuating bandwidth
 //! and weights, seeded RNG streams ([`rng`]), and time-weighted
 //! statistics ([`stats`]) used to measure divergence exactly between
@@ -16,7 +16,6 @@
 //! harness regenerate the paper's figures reproducibly.
 
 pub mod calendar;
-pub mod events;
 pub mod fastmath;
 pub mod indexed_heap;
 pub mod rng;
@@ -25,7 +24,6 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::CalendarQueue;
-pub use events::EventQueue;
 pub use indexed_heap::{HeapKey, IndexedHeap};
 pub use signal::Wave;
 pub use stats::{PiecewiseConstant, RunningStats, TimeAverage};

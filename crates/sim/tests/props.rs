@@ -2,7 +2,7 @@
 
 use besync_sim::signal::Signal;
 use besync_sim::stats::{PiecewiseConstant, RunningStats, TimeAverage};
-use besync_sim::{CalendarQueue, EventQueue, SimTime, Wave};
+use besync_sim::{CalendarQueue, SimTime, Wave};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -86,26 +86,34 @@ proptest! {
         prop_assert!(v <= mean * 2.0 + 1e-12);
     }
 
-    /// The event queue pops in exactly the order of a stable sort by time.
+    /// The event queue pops in exactly the order of a stable sort by
+    /// time — and so does a `BinaryHeap` of `(time, seq, slot)`, which is
+    /// what entitles the tests below to use one as the queue's oracle.
     #[test]
     fn event_queue_matches_stable_sort(
         times in prop::collection::vec(0.0f64..100.0, 1..100),
     ) {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new(times.len(), 0.5);
+        let mut oracle = BinaryHeap::new();
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::new(t), i);
+            q.schedule(i as u32, SimTime::new(t));
+            oracle.push(Reverse((SimTime::new(t), i as u64, i as u32)));
         }
-        let mut expected: Vec<(SimTime, usize)> = times
+        let mut expected: Vec<(SimTime, u32)> = times
             .iter()
             .enumerate()
-            .map(|(i, &t)| (SimTime::new(t), i))
+            .map(|(i, &t)| (SimTime::new(t), i as u32))
             .collect();
         expected.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut got = Vec::new();
-        while let Some(e) = q.pop() {
+        while let Some(e) = q.pop_at_or_before(SimTime::new(100.0)) {
             got.push(e);
         }
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(&got, &expected);
+        let oracle: Vec<_> = std::iter::from_fn(|| oracle.pop())
+            .map(|Reverse((at, _, slot))| (at, slot))
+            .collect();
+        prop_assert_eq!(oracle, expected);
     }
 
     /// RunningStats::merge is equivalent to pushing all samples into one

@@ -54,8 +54,8 @@ pub mod worker;
 pub use backoff::BackoffPolicy;
 pub use pool::{default_threads, parallel_map};
 pub use supervisor::{
-    sweep, DegradedSlot, Shards, SweepError, SweepOptions, SweepOutcome, SweepRun, SweepSummary,
-    WorkerSpawn,
+    sweep, value, DegradedSlot, Shards, SweepError, SweepOptions, SweepOutcome, SweepRun,
+    SweepSummary, WorkerSpawn,
 };
 pub use transport::TransportKind;
 pub use worker::{worker_main, Fault, CONNECT_FLAG, FAULT_ENV, TOKEN_FLAG, WORKER_FLAG};

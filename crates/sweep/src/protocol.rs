@@ -22,9 +22,9 @@
 //! and backslashes escaped ([`escape`]/[`unescape`]), so one message is
 //! always exactly one line. `<build bits>`/`<wall bits>` are the
 //! worker-measured construction and event-loop wall seconds as `f64` bit
-//! patterns in hex — timings ride alongside the report (the bench's
-//! sharded mode wants per-scenario wall clocks) without touching the
-//! report codec itself.
+//! patterns in hex — timings ride alongside the report (`benchmark/`
+//! reads per-spec worker wall clocks) without touching the report codec
+//! itself.
 //!
 //! Parsing is strict and total: any malformed line yields a structured
 //! `Err`, never a panic — the supervisor treats that as a worker fault,

@@ -41,6 +41,7 @@ use std::io::BufRead;
 use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::Command;
+use std::str::FromStr;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
@@ -76,28 +77,6 @@ impl Shards {
             0 => Shards::InProcess,
             n => Shards::Workers(n),
         })
-    }
-
-    /// Parses a comma-separated `--shards` list (`0,2,4`), naming the
-    /// offending token on failure instead of silently dropping it.
-    ///
-    /// # Errors
-    ///
-    /// A message quoting the first malformed entry.
-    pub fn parse_list(s: &str) -> Result<Vec<Shards>, String> {
-        if s.is_empty() {
-            return Err("empty --shards list (expected e.g. `0,2,4`)".to_string());
-        }
-        s.split(',')
-            .map(|tok| {
-                Shards::parse(tok).ok_or_else(|| {
-                    format!(
-                        "bad --shards entry `{tok}` in `{s}` (expected a non-negative \
-                         integer; 0 = in-process)"
-                    )
-                })
-            })
-            .collect()
     }
 
     /// The CLI spelling ([`Shards::parse`]'s inverse).
@@ -222,6 +201,19 @@ impl SweepOptions {
         }
         Ok(())
     }
+}
+
+/// Takes `flag`'s value off an argument iterator and parses it: the one
+/// place the binaries' argument loops turn a missing or malformed value
+/// into a message naming the flag.
+///
+/// # Errors
+///
+/// A message naming the flag and, if there was one, the rejected text.
+pub fn value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String> {
+    let text = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse()
+        .map_err(|_| format!("{flag} cannot take `{text}`"))
 }
 
 /// One merged sweep result: the report for the spec at the same input
@@ -1045,23 +1037,6 @@ mod tests {
         }
         assert_eq!(Shards::Workers(4).count(), 4);
         assert_eq!(Shards::InProcess.count(), 0);
-    }
-
-    #[test]
-    fn shards_list_parse_names_the_bad_token() {
-        assert_eq!(
-            Shards::parse_list("0,2,4"),
-            Ok(vec![
-                Shards::InProcess,
-                Shards::Workers(2),
-                Shards::Workers(4)
-            ])
-        );
-        for (list, bad) in [("0,x,4", "`x`"), ("0,,4", "``"), ("1,+2", "`+2`")] {
-            let err = Shards::parse_list(list).unwrap_err();
-            assert!(err.contains(bad), "error for `{list}` was: {err}");
-        }
-        assert!(Shards::parse_list("").unwrap_err().contains("empty"));
     }
 
     #[test]

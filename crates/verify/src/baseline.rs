@@ -1,7 +1,7 @@
 //! The stored side of statistical acceptance: a line-based text format
 //! for per-scenario metric moments, checked in at the repo root
-//! (`STATS_baseline.txt`) the way `BENCH_pr*.json` stores throughput
-//! trajectories.
+//! (`STATS_baseline.txt`) the way `COUNTERS_baseline.txt` stores the
+//! bit gate's reports.
 //!
 //! The format is deliberately serde-free and diff-friendly:
 //!

@@ -1,11 +1,12 @@
 //! Scheduler-port equivalence goldens for `IdealSystem` and the CGM
 //! baselines.
 //!
-//! PR 2 moved both off the generic `EventQueue<Ev>` + `LazyMaxHeap` onto
-//! the `CalendarQueue` + unified indexed heap that `CoopSystem` already
+//! PR 2 moved both off a generic `BinaryHeap` event queue and a
+//! lazy-invalidation priority heap (both since deleted) onto the
+//! `CalendarQueue` + unified indexed heap that `CoopSystem` already
 //! uses. The constants below are the exact `RunReport` counters of the
-//! **old `EventQueue`-backed implementations**, recorded immediately
-//! before the port (same seeds, same configs). The port is required to be
+//! **old implementations**, recorded immediately before the port (same
+//! seeds, same configs). The port is required to be
 //! bit-identical: any divergence here means the new schedulers do not
 //! replay the old trajectories and the paper's figures moved.
 //!
