@@ -145,8 +145,7 @@ const HELP: &str = "\
 besync-bench — the suite-wide counter gate over seeded end-to-end scenarios
 
 usage: besync-bench [--compare PATH] [--record PATH] [--only NAME] [--quick]
-                    [--shards N] [--workers pipes|tcp[://HOST:PORT]]
-                    [--spec-deadline SECS] [--list] [--fault-sweep]
+                    [--shards N] [--spec-deadline SECS] [--list] [--fault-sweep]
        besync-bench verify ...   (statistical acceptance; see `verify --help`)
 
   --compare PATH   the bit gate: run the selected scenarios and demand that
@@ -164,9 +163,6 @@ usage: besync-bench [--compare PATH] [--record PATH] [--only NAME] [--quick]
                    in-process threads (0, the default); with --compare this
                    vouches for the worker pipeline: codec, protocol and merge
                    order must reproduce the record
-  --workers KIND   worker channel for --shards: `pipes` (child stdio, default)
-                   or `tcp`/`tcp://HOST:PORT` (supervisor listens; workers dial
-                   back with --connect)
   --spec-deadline  seconds a worker may hold one spec before it is presumed
                    hung and replaced (default 600; 0 disables)
   --list           print scenario names with descriptions and exit
@@ -187,8 +183,7 @@ besync-bench verify — statistical acceptance gate
 
 usage: besync-bench verify [--baseline PATH] [--scenarios A,B,..] [--seeds N]
                            [--tier strict|standard|loose] [--record] [--quick]
-                           [--shards N] [--workers pipes|tcp[://HOST:PORT]]
-                           [--spec-deadline SECS]
+                           [--shards N] [--spec-deadline SECS]
 
 Runs each scenario across N derived seeds, folds the recorded metrics into
 moments, and z-checks them against the stored baseline. Right for
@@ -209,7 +204,6 @@ all, use `besync-bench --compare COUNTERS_baseline.txt` instead.
   --quick          CI smoke scale; baselines store quick and full entries
                    separately
   --shards N       run the underlying sweeps over N worker processes
-  --workers KIND   worker channel for --shards (pipes | tcp[://HOST:PORT])
   --spec-deadline  per-spec worker deadline in seconds (0 disables)";
 
 /// `--fault-sweep`: sweeps refresh-loss probability over the `medium`
@@ -281,7 +275,7 @@ fn gate(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             "--only" => only = Some(value(&a, &mut args)?),
             "--quick" => quick = true,
             "--fault-sweep" => want_fault_sweep = true,
-            "--shards" | "--workers" | "--spec-deadline" => {
+            "--shards" | "--spec-deadline" => {
                 opts.apply_flag(&a, &value::<String>(&a, &mut args)?)?;
             }
             "--list" => {
@@ -398,7 +392,7 @@ fn verify(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             }
             "--record" => record = true,
             "--quick" => quick = true,
-            "--shards" | "--workers" | "--spec-deadline" => {
+            "--shards" | "--spec-deadline" => {
                 opts.apply_flag(&a, &value::<String>(&a, &mut args)?)?;
             }
             "--help" | "-h" => {

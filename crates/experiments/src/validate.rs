@@ -19,11 +19,11 @@ use besync::config::SystemConfig;
 use besync::priority::{PolicyKind, RateEstimator};
 use besync::IdealSystem;
 use besync_data::Metric;
+use besync_sweep::{default_threads, parallel_map};
 use besync_workloads::generators::{skewed_validation, uniform_validation};
 use besync_workloads::WorkloadSpec;
 
 use crate::output::{fnum, Row};
-use crate::runner::{default_threads, parallel_map};
 use crate::Mode;
 
 /// One comparison cell: a workload size/metric with both policies.

@@ -1,14 +1,14 @@
 //! The declarative scenario spec and its lowering.
 
 use besync::cache::partition::{BandwidthPartition, SharePolicy};
-use besync::competitive::{CompetitiveConfig, CompetitiveSystem};
+use besync::competitive::{conflicted_halves, CompetitiveConfig, CompetitiveSystem};
 use besync::config::SystemConfig;
 use besync::fault::FaultProfile;
 use besync::priority::{PolicyKind, RateEstimator};
 use besync::system::CoopSystem;
 use besync::{IdealSystem, RunReport};
 use besync_baselines::{CgmConfig, CgmSystem, CgmVariant};
-use besync_data::{Metric, WeightProfile};
+use besync_data::Metric;
 use besync_workloads::buoy::{self, BuoyConfig};
 use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
 use besync_workloads::WorkloadSpec;
@@ -472,25 +472,10 @@ impl ScenarioSpec {
                 ReadySystem::Cgm(Box::new(CgmSystem::new(self.cgm_config(), spec)))
             }
             SystemKind::Competitive => {
-                // The §7 conflicted-halves weighting (the shape of the
-                // paper's competitive experiment): the cache favours the
-                // first half of each source's objects 10:1, each source
-                // favours its second half. Both weight views are derived
-                // here — deterministically from the layout alone — so the
-                // scenario stays a plain-data value.
+                // Both weight views are derived here, from the layout
+                // alone, so the scenario stays a plain-data value.
                 let mut wl = spec;
-                let n = wl.layout.objects_per_source();
-                let mut source_weights = Vec::with_capacity(wl.total_objects());
-                for obj in wl.layout.all_objects() {
-                    let local = obj.0 % n;
-                    let (cache_w, source_w) = if local < n / 2 {
-                        (10.0, 1.0)
-                    } else {
-                        (1.0, 10.0)
-                    };
-                    wl.weights[obj.index()] = WeightProfile::constant(cache_w);
-                    source_weights.push(WeightProfile::constant(source_w));
-                }
+                let source_weights = conflicted_halves(&mut wl);
                 ReadySystem::Competitive(Box::new(CompetitiveSystem::new(
                     CompetitiveConfig {
                         base: self.system_config(),

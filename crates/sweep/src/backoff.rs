@@ -13,6 +13,8 @@
 
 use std::time::Duration;
 
+use besync_sim::rng::splitmix64;
+
 /// The respawn delay schedule: exponential growth from `base_ms`,
 /// capped at `cap_ms`, with deterministic jitter in the upper half of
 /// each step (`[step/2, step]` — full-jitter's bias toward zero would
@@ -78,16 +80,6 @@ impl BackoffPolicy {
         );
         step - span + if span == 0 { 0 } else { h % (span + 1) }
     }
-}
-
-/// SplitMix64 finalizer — a tiny, well-mixed hash; good enough to
-/// decorrelate jitter across slots and attempts without any RNG state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -4,10 +4,7 @@
 //! [`besync_sweep::WORKER_FLAG`]); this binary exists for harnesses that
 //! have no worker-capable binary of their own — the sweep crate's own
 //! end-to-end tests drive it via `CARGO_BIN_EXE_besync-sweep-worker`.
-//! It speaks the worker protocol on stdin/stdout, or over TCP when
-//! started with `--connect host:port` and `--connect-token <hex>` (the
-//! supervisor's TCP transport appends both itself); a channel flag
-//! without its value is a usage error, and any other arguments are
+//! It speaks the worker protocol on stdin/stdout; its arguments are
 //! ignored.
 
 fn main() -> std::process::ExitCode {

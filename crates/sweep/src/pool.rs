@@ -3,10 +3,8 @@
 //! Experiment grids are embarrassingly parallel (each cell is an
 //! independent, seeded simulation), so we fan them out over OS threads.
 //! Results come back in input order regardless of completion order, so
-//! tables and CSVs are deterministic. This lived in
-//! `besync_experiments::runner` until the process-sharded supervisor
-//! needed the same in-order fan-out for its `--shards 0` path; the
-//! experiments crate re-exports it from here.
+//! tables and CSVs are deterministic. The supervisor's `--shards 0` path
+//! and the experiments that fan out closures rather than specs share it.
 
 use std::sync::mpsc;
 use std::sync::Mutex;

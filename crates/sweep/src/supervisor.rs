@@ -22,10 +22,10 @@
 //!   `PING`; a worker whose I/O thread is alive answers immediately
 //!   even while computing. No `PONG` within
 //!   [`SweepOptions::heartbeat_timeout`] means the *process* is frozen
-//!   (stopped, swapped out, or a partitioned TCP peer) — killed without
-//!   waiting for the full deadline.
+//!   (stopped, swapped out, or otherwise silent) — killed without waiting
+//!   for the full deadline.
 //! * **Backoff** — respawns wait out a seeded-deterministic
-//!   exponential-with-jitter delay ([`BackoffPolicy`]), so a
+//!   exponential-with-jitter delay ([`crate::BackoffPolicy`]), so a
 //!   crash-looping worker command can't melt the host. Nothing
 //!   time-derived feeds the merge, so byte-identity holds.
 //! * **Graceful degradation** — each slot has a respawn budget
@@ -36,341 +36,19 @@
 //!   with the damage reported in [`SweepSummary::degraded`].
 
 use std::collections::VecDeque;
-use std::fmt;
-use std::io::BufRead;
-use std::io::BufReader;
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader};
 use std::process::Command;
-use std::str::FromStr;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use besync::RunReport;
 use besync_scenarios::{codec, ScenarioSpec};
 
-use crate::backoff::BackoffPolicy;
+use crate::options::{Shards, SweepOptions, WorkerSpawn};
+use crate::outcome::{DegradedSlot, SweepError, SweepOutcome, SweepRun, SweepSummary};
 use crate::pool::{default_threads, parallel_map};
 use crate::protocol::{self, Response};
-use crate::transport::{make_transport, StderrTail, TransportKind, WorkerLink, WorkerTransport};
+use crate::transport::{StderrTail, WorkerProcess};
 use crate::worker::{FAULT_ENV, WORKER_FLAG};
-
-/// How a sweep distributes its specs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shards {
-    /// Run every spec in this process, fanned out over threads. The
-    /// baseline the sharded paths are pinned byte-identical to.
-    InProcess,
-    /// Spawn this many worker processes (clamped to the spec count).
-    Workers(u32),
-}
-
-impl Shards {
-    /// Parses the CLI knob: `0` means in-process, `N ≥ 1` means N worker
-    /// processes. Strict digits only — `+3`, ` 3`, and `3.0` are all
-    /// rejected rather than guessed at.
-    pub fn parse(s: &str) -> Option<Shards> {
-        if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        let n: u32 = s.parse().ok()?;
-        Some(match n {
-            0 => Shards::InProcess,
-            n => Shards::Workers(n),
-        })
-    }
-
-    /// The CLI spelling ([`Shards::parse`]'s inverse).
-    pub fn count(self) -> u32 {
-        match self {
-            Shards::InProcess => 0,
-            Shards::Workers(n) => n,
-        }
-    }
-}
-
-/// How to start a worker process.
-#[derive(Debug, Clone)]
-pub enum WorkerSpawn {
-    /// Re-exec [`std::env::current_exe`] with the hidden
-    /// [`WORKER_FLAG`] argument. Requires the current binary to dispatch
-    /// to [`crate::worker_main`] on that flag — the `experiments` and
-    /// `besync-bench` binaries do.
-    CurrentExe,
-    /// Run an explicit command (program, arguments). Used by test
-    /// harnesses, whose own binary (libtest) cannot dispatch the flag.
-    Command(PathBuf, Vec<String>),
-}
-
-/// Sweep runner knobs. `Default` is an in-process run on
-/// [`default_threads`] threads — callers that never touch `shards`
-/// get exactly the old `parallel_map` behaviour.
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// Process-sharding layout.
-    pub shards: Shards,
-    /// Backpressure bound: specs in flight per worker. The supervisor
-    /// keeps a worker's pipeline at most this deep, so a crash loses at
-    /// most `window` specs and slow workers can't hoard the queue.
-    pub window: usize,
-    /// Thread count for the in-process path (`None` →
-    /// [`default_threads`]).
-    pub threads: Option<usize>,
-    /// How to start workers.
-    pub worker: WorkerSpawn,
-    /// Which channel carries the protocol: child-process pipes (the
-    /// default) or a TCP listener workers dial back into.
-    pub transport: TransportKind,
-    /// Extra environment for *initial* worker spawns only — respawned
-    /// replacements never inherit it. This is the fault-injection hook:
-    /// tests set [`FAULT_ENV`] here to make workers misbehave mid-grid.
-    pub worker_env: Vec<(String, String)>,
-    /// Worker respawns allowed **per slot** before that slot is retired
-    /// and its work is absorbed by the surviving workers (ultimately
-    /// in-process — see [`SweepSummary::degraded`]). Bounds the damage
-    /// of a persistently hostile or crashing worker command.
-    pub max_respawns: usize,
-    /// Service-time bound for the spec at the head of a worker's
-    /// pipeline. A worker that holds a spec longer than this without
-    /// reporting is presumed hung, killed, and respawned; the spec is
-    /// resubmitted under the at-most-once accounting. `None` disables
-    /// the deadline (not recommended off the beaten path).
-    pub spec_deadline: Option<Duration>,
-    /// Silence span after which a worker that owes replies is sent a
-    /// `PING`.
-    pub heartbeat_interval: Duration,
-    /// How long an unanswered `PING` may stand before the worker is
-    /// presumed frozen and killed. Distinct from the spec deadline: a
-    /// busy-but-healthy worker PONGs from its I/O thread immediately.
-    pub heartbeat_timeout: Duration,
-    /// Respawn delay schedule (seeded-deterministic, see
-    /// [`BackoffPolicy`]).
-    pub backoff: BackoffPolicy,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            shards: Shards::InProcess,
-            window: 2,
-            threads: None,
-            worker: WorkerSpawn::CurrentExe,
-            transport: TransportKind::Pipes,
-            worker_env: Vec::new(),
-            max_respawns: 8,
-            spec_deadline: Some(Duration::from_secs(600)),
-            heartbeat_interval: Duration::from_secs(5),
-            heartbeat_timeout: Duration::from_secs(10),
-            backoff: BackoffPolicy::default(),
-        }
-    }
-}
-
-impl SweepOptions {
-    /// Options with everything default but the shard layout.
-    pub fn with_shards(shards: Shards) -> Self {
-        SweepOptions {
-            shards,
-            ..SweepOptions::default()
-        }
-    }
-
-    /// Applies one of the sweep CLI flags every binary shares —
-    /// `--shards N`, `--workers pipes|tcp[://HOST:PORT]`,
-    /// `--spec-deadline SECS` (`0` disables the deadline) — so they parse
-    /// and validate the same way everywhere.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the flag and what it expects.
-    pub fn apply_flag(&mut self, flag: &str, value: &str) -> Result<(), String> {
-        match flag {
-            "--shards" => {
-                self.shards = Shards::parse(value).ok_or_else(|| {
-                    format!("--shards needs a worker count (0 = in-process), got `{value}`")
-                })?;
-            }
-            "--workers" => self.transport = TransportKind::parse(value)?,
-            "--spec-deadline" => {
-                let secs = value.parse::<f64>().ok();
-                let secs = secs.filter(|s| s.is_finite() && *s >= 0.0).ok_or_else(|| {
-                    format!("--spec-deadline needs seconds (0 disables it), got `{value}`")
-                })?;
-                self.spec_deadline = (secs > 0.0).then(|| Duration::from_secs_f64(secs));
-            }
-            other => return Err(format!("`{other}` is not a sweep flag")),
-        }
-        Ok(())
-    }
-}
-
-/// Takes `flag`'s value off an argument iterator and parses it: the one
-/// place the binaries' argument loops turn a missing or malformed value
-/// into a message naming the flag.
-///
-/// # Errors
-///
-/// A message naming the flag and, if there was one, the rejected text.
-pub fn value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String> {
-    let text = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    text.parse()
-        .map_err(|_| format!("{flag} cannot take `{text}`"))
-}
-
-/// One merged sweep result: the report for the spec at the same input
-/// index, plus where the time went (worker-measured when sharded).
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// The simulation's report.
-    pub report: RunReport,
-    /// Workload + system construction wall seconds.
-    pub build_seconds: f64,
-    /// Event-loop wall seconds.
-    pub wall_seconds: f64,
-}
-
-/// A retired worker slot: it burnt its whole respawn budget and was
-/// taken out of rotation. Carries everything needed to diagnose the
-/// worker from the sweep output alone.
-#[derive(Debug, Clone)]
-pub struct DegradedSlot {
-    /// Which worker slot was retired.
-    pub slot: usize,
-    /// Respawns consumed before retirement.
-    pub respawns: usize,
-    /// The fault that retired it.
-    pub last_fault: String,
-    /// The worker's final ~20 stderr lines, oldest first.
-    pub stderr_tail: Vec<String>,
-}
-
-/// What the robustness layer had to do to finish the sweep. All-zero /
-/// empty on a clean run.
-#[derive(Debug, Clone, Default)]
-pub struct SweepSummary {
-    /// Total worker respawns across all slots.
-    pub respawns: usize,
-    /// Slots retired after exhausting their respawn budget.
-    pub degraded: Vec<DegradedSlot>,
-    /// Specs that ended up running in-process because every worker slot
-    /// was retired before they were served.
-    pub drained_in_process: usize,
-}
-
-impl SweepSummary {
-    /// True when any slot was retired (the sweep completed, but not the
-    /// way it was asked to).
-    pub fn is_degraded(&self) -> bool {
-        !self.degraded.is_empty()
-    }
-
-    /// A multi-line human-readable rendering (empty string when there
-    /// is nothing to report).
-    pub fn render(&self) -> String {
-        if self.respawns == 0 && !self.is_degraded() {
-            return String::new();
-        }
-        let mut out = format!("sweep summary: {} worker respawn(s)", self.respawns);
-        for d in &self.degraded {
-            out.push_str(&format!(
-                "\n  slot {} retired after {} respawn(s): {}",
-                d.slot, d.respawns, d.last_fault
-            ));
-            for line in &d.stderr_tail {
-                out.push_str(&format!("\n    stderr| {line}"));
-            }
-        }
-        if self.drained_in_process > 0 {
-            out.push_str(&format!(
-                "\n  {} spec(s) drained in-process after all worker slots were retired",
-                self.drained_in_process
-            ));
-        }
-        out
-    }
-}
-
-/// A finished sweep: the in-input-order outcomes plus the robustness
-/// summary.
-#[derive(Debug, Clone)]
-pub struct SweepRun {
-    /// One outcome per input spec, in input order.
-    pub outcomes: Vec<SweepOutcome>,
-    /// What it took to get them.
-    pub summary: SweepSummary,
-}
-
-impl SweepRun {
-    /// Consumes the run, printing the robustness summary to stderr when
-    /// anything noteworthy happened, and returns just the outcomes — the
-    /// convenience most drivers want.
-    pub fn into_outcomes(self) -> Vec<SweepOutcome> {
-        let rendered = self.summary.render();
-        if !rendered.is_empty() {
-            eprintln!("{rendered}");
-        }
-        self.outcomes
-    }
-}
-
-/// Why a sharded sweep failed. In-process sweeps cannot fail, and
-/// worker crashes/hangs degrade rather than fail — what remains is
-/// caller bugs (unencodable specs, unspawnable commands, protocol-level
-/// rejections).
-#[derive(Debug)]
-pub enum SweepError {
-    /// A spec refused to encode (e.g. a custom deviation function);
-    /// detected before any process is spawned.
-    Encode {
-        /// Name of the offending scenario.
-        scenario: String,
-        /// The codec's complaint.
-        message: String,
-    },
-    /// A worker process could not be started (initial spawn — respawn
-    /// failures consume the slot's budget instead).
-    Spawn {
-        /// The OS error, stringified.
-        message: String,
-    },
-    /// A worker answered `ERR` — it received a spec it could not decode
-    /// or run. Always a protocol/codec bug, never load-dependent, so it
-    /// is not retried.
-    Worker {
-        /// Report slot the worker was answering for.
-        seq: usize,
-        /// The worker's message.
-        message: String,
-        /// The worker's last stderr lines at the time of the rejection.
-        stderr_tail: Vec<String>,
-    },
-}
-
-impl fmt::Display for SweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SweepError::Encode { scenario, message } => {
-                write!(
-                    f,
-                    "scenario `{scenario}` cannot be shipped to a worker: {message}"
-                )
-            }
-            SweepError::Spawn { message } => write!(f, "could not spawn sweep worker: {message}"),
-            SweepError::Worker {
-                seq,
-                message,
-                stderr_tail,
-            } => {
-                write!(f, "worker rejected spec {seq}: {message}")?;
-                if !stderr_tail.is_empty() {
-                    write!(f, "; worker stderr tail: {}", stderr_tail.join(" ⏎ "))?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for SweepError {}
 
 /// Runs every spec and returns the finished [`SweepRun`]: outcomes **in
 /// input order** — the supervisor's whole point — plus the robustness
@@ -380,16 +58,17 @@ impl std::error::Error for SweepError {}
 /// outcomes.
 pub fn sweep(specs: &[ScenarioSpec], opts: &SweepOptions) -> Result<SweepRun, SweepError> {
     match opts.shards {
-        Shards::InProcess => Ok(SweepRun {
-            outcomes: run_in_process(specs, opts),
+        Shards::Workers(n) if !specs.is_empty() => run_sharded(specs, n as usize, opts),
+        // In-process, or nothing to shard.
+        _ => Ok(SweepRun {
+            outcomes: run_in_process(specs.iter()),
             summary: SweepSummary::default(),
         }),
-        Shards::Workers(n) => run_sharded(specs, n as usize, opts),
     }
 }
 
 /// Builds and runs one spec, timing the phases separately.
-fn run_spec(spec: &ScenarioSpec) -> SweepOutcome {
+pub(crate) fn run_spec(spec: &ScenarioSpec) -> SweepOutcome {
     let build_start = Instant::now();
     let system = spec.build();
     let build_seconds = build_start.elapsed().as_secs_f64();
@@ -402,29 +81,29 @@ fn run_spec(spec: &ScenarioSpec) -> SweepOutcome {
     }
 }
 
-fn run_in_process(specs: &[ScenarioSpec], opts: &SweepOptions) -> Vec<SweepOutcome> {
-    let threads = opts.threads.unwrap_or_else(default_threads);
-    parallel_map(specs.to_vec(), threads, |spec| run_spec(&spec))
+fn run_in_process<'a>(specs: impl Iterator<Item = &'a ScenarioSpec>) -> Vec<SweepOutcome> {
+    parallel_map(specs.collect(), default_threads(), run_spec)
 }
 
-/// Channel traffic from reader threads to the supervisor loop.
-enum Msg {
-    /// One reply line from worker `slot`'s incarnation `incarnation`.
-    Line {
-        slot: usize,
-        incarnation: u64,
-        line: String,
-    },
-    /// Worker `slot`'s reply stream closed (crash, or clean exit at
-    /// shutdown).
-    Eof { slot: usize, incarnation: u64 },
+/// Backpressure bound: specs in flight per worker. The supervisor keeps
+/// a worker's pipeline at most this deep, so a crash loses at most
+/// `WINDOW` specs and slow workers can't hoard the queue.
+const WINDOW: usize = 2;
+
+/// Channel traffic from reader threads to the supervisor loop: one
+/// reply line from worker `slot`'s incarnation `incarnation`, or `None`
+/// when its reply stream closed (crash, or clean exit at shutdown).
+struct Msg {
+    slot: usize,
+    incarnation: u64,
+    line: Option<String>,
 }
 
 /// One worker process slot.
 struct Slot {
-    /// The transport channel (kills/reaps its process on drop, so early
-    /// error returns never leak children).
-    link: Box<dyn WorkerLink>,
+    /// The worker process and its request pipe (killed and reaped on
+    /// drop, so early error returns never leak children).
+    link: WorkerProcess,
     /// Rolling tail of the worker's stderr for crash diagnostics.
     stderr: StderrTail,
     /// Bumped on every respawn; messages tagged with an older value are
@@ -459,7 +138,6 @@ struct Supervisor<'a> {
     opts: &'a SweepOptions,
     /// Encoded (unescaped) codec text per spec, index = seq.
     payloads: Vec<String>,
-    transport: Box<dyn WorkerTransport>,
     tx: Sender<Msg>,
     rx: Receiver<Msg>,
     slots: Vec<Slot>,
@@ -475,12 +153,6 @@ fn run_sharded(
     shards: usize,
     opts: &SweepOptions,
 ) -> Result<SweepRun, SweepError> {
-    if specs.is_empty() {
-        return Ok(SweepRun {
-            outcomes: Vec::new(),
-            summary: SweepSummary::default(),
-        });
-    }
     // Encode everything up front: an unencodable spec is a caller bug
     // and must surface before any process is spawned.
     let payloads: Vec<String> = specs
@@ -493,15 +165,11 @@ fn run_sharded(
         })
         .collect::<Result<_, _>>()?;
 
-    let transport = make_transport(&opts.transport).map_err(|message| SweepError::Spawn {
-        message: format!("transport setup: {message}"),
-    })?;
     let workers = shards.clamp(1, specs.len());
     let (tx, rx) = channel();
     let mut sup = Supervisor {
         opts,
         payloads,
-        transport,
         tx,
         rx,
         slots: Vec::with_capacity(workers),
@@ -514,7 +182,7 @@ fn run_sharded(
         // An initial spawn failure is a hard error: nothing was lost
         // yet and the worker command is clearly unusable.
         let s = sup
-            .spawn_slot(slot, 0, true)
+            .spawn_slot(slot, 0)
             .map_err(|message| SweepError::Spawn { message })?;
         sup.slots.push(s);
     }
@@ -528,13 +196,7 @@ fn run_sharded(
         let leftover: Vec<usize> = std::mem::take(&mut sup.pending).into();
         debug_assert_eq!(leftover.len(), sup.results.len() - sup.done);
         sup.summary.drained_in_process = leftover.len();
-        let local = run_in_process(
-            &leftover
-                .iter()
-                .map(|&i| specs[i].clone())
-                .collect::<Vec<_>>(),
-            opts,
-        );
+        let local = run_in_process(leftover.iter().map(|&i| &specs[i]));
         for (seq, outcome) in leftover.into_iter().zip(local) {
             debug_assert!(sup.results[seq].is_none());
             sup.results[seq] = Some(outcome);
@@ -608,12 +270,7 @@ const MAX_TICK: Duration = Duration::from_millis(500);
 
 impl Supervisor<'_> {
     /// Spawns (or respawns) the worker for `slot`.
-    fn spawn_slot(
-        &mut self,
-        slot: usize,
-        incarnation: u64,
-        first_incarnation: bool,
-    ) -> Result<Slot, String> {
+    fn spawn_slot(&mut self, slot: usize, incarnation: u64) -> Result<Slot, String> {
         let mut cmd = match &self.opts.worker {
             WorkerSpawn::CurrentExe => {
                 let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
@@ -627,8 +284,7 @@ impl Supervisor<'_> {
                 c
             }
         };
-        cmd.args(self.transport.worker_args());
-        if first_incarnation {
+        if incarnation == 0 {
             for (k, v) in &self.opts.worker_env {
                 cmd.env(k, v);
             }
@@ -641,44 +297,34 @@ impl Supervisor<'_> {
                 cmd.env_remove(k);
             }
         }
-        let mut link = self.transport.spawn(cmd)?;
-        let stderr = match link.take_stderr() {
-            Some(stream) => StderrTail::tail(stream),
-            None => StderrTail::empty(),
-        };
-        let reader = link
-            .take_reader()
-            .ok_or_else(|| "transport link has no reader stream".to_string())?;
+        let (link, stdout, stderr) = WorkerProcess::spawn(cmd).map_err(|e| e.to_string())?;
+        let stderr = StderrTail::tail(stderr);
         let tx = self.tx.clone();
+        let send = move |line| {
+            tx.send(Msg {
+                slot,
+                incarnation,
+                line,
+            })
+        };
         std::thread::spawn(move || {
-            let mut reader = BufReader::new(reader);
+            let mut reader = BufReader::new(stdout);
             let mut buf = Vec::with_capacity(4096);
             loop {
                 buf.clear();
-                match read_line_bounded(&mut reader, &mut buf, MAX_REPLY_BYTES) {
-                    Ok(true) => {
-                        // Invalid UTF-8 decodes lossily; the resulting
-                        // parse failure surfaces as a worker fault,
-                        // which is right.
-                        let line = String::from_utf8_lossy(&buf).into_owned();
-                        if tx
-                            .send(Msg::Line {
-                                slot,
-                                incarnation,
-                                line,
-                            })
-                            .is_err()
-                        {
-                            return; // supervisor gone; just unwind
-                        }
-                    }
-                    // EOF, oversized reply, or read error: all end this
-                    // incarnation — the supervisor treats the Eof as a
-                    // fault if work remains.
-                    Ok(false) | Err(_) => break,
+                // EOF, oversized reply, or read error: all end this
+                // incarnation — the supervisor treats the closed stream
+                // as a fault if work remains.
+                let Ok(true) = read_line_bounded(&mut reader, &mut buf, MAX_REPLY_BYTES) else {
+                    break;
+                };
+                // Invalid UTF-8 decodes lossily; the resulting parse
+                // failure surfaces as a worker fault, which is right.
+                if send(Some(String::from_utf8_lossy(&buf).into_owned())).is_err() {
+                    return; // supervisor gone; just unwind
                 }
             }
-            let _ = tx.send(Msg::Eof { slot, incarnation });
+            let _ = send(None);
         });
         Ok(Slot {
             link,
@@ -705,28 +351,22 @@ impl Supervisor<'_> {
                 return Ok(());
             }
             match self.rx.recv_timeout(self.next_tick()) {
-                Ok(Msg::Line {
-                    slot,
-                    incarnation,
-                    line,
-                }) => {
-                    let s = &mut self.slots[slot];
-                    if s.dead || s.respawn_at.is_some() || s.incarnation != incarnation {
-                        continue; // stale line from a killed predecessor
+                Ok(msg) => {
+                    let s = &mut self.slots[msg.slot];
+                    if s.dead || s.respawn_at.is_some() || s.incarnation != msg.incarnation {
+                        continue; // stale message from a killed predecessor
                     }
-                    s.last_line = Instant::now();
-                    self.handle_line(slot, &line)?;
-                }
-                Ok(Msg::Eof { slot, incarnation }) => {
-                    let s = &self.slots[slot];
-                    if s.dead || s.respawn_at.is_some() || s.incarnation != incarnation {
-                        continue;
+                    match msg.line {
+                        Some(line) => {
+                            s.last_line = Instant::now();
+                            self.handle_line(msg.slot, &line)?;
+                        }
+                        // EOF with the sweep unfinished is a crash. (A
+                        // worker that is merely idle keeps its channel
+                        // open and does not EOF; clean exits only happen
+                        // after shutdown.)
+                        None => self.fault(msg.slot, "worker exited early")?,
                     }
-                    // EOF with the sweep unfinished is a crash. (A
-                    // worker that is merely idle keeps its channel open
-                    // and does not EOF; clean exits only happen after
-                    // shutdown.)
-                    self.fault(slot, "worker exited early")?;
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
@@ -774,9 +414,7 @@ impl Supervisor<'_> {
 
     /// The timer pass: per-spec deadlines and heartbeat escalation.
     fn check_timers(&mut self) -> Result<(), SweepError> {
-        let deadline = self.opts.spec_deadline;
-        let hb_interval = self.opts.heartbeat_interval;
-        let hb_timeout = self.opts.heartbeat_timeout;
+        let opts = self.opts;
         for slot in 0..self.slots.len() {
             if self.slots[slot].dead {
                 continue;
@@ -793,7 +431,7 @@ impl Supervisor<'_> {
             if s.in_flight.is_empty() {
                 continue;
             }
-            if let (Some(deadline), Some(front)) = (deadline, s.front_since) {
+            if let (Some(deadline), Some(front)) = (opts.spec_deadline, s.front_since) {
                 if front.elapsed() >= deadline {
                     let seq = s.in_flight[0];
                     self.fault(
@@ -808,18 +446,18 @@ impl Supervisor<'_> {
             }
             match s.ping {
                 Some((beat, sent)) => {
-                    if sent.elapsed() >= hb_timeout {
+                    if sent.elapsed() >= opts.heartbeat_timeout {
                         self.fault(
                             slot,
                             &format!(
                                 "no PONG {beat} within {:.1}s (worker frozen or partitioned)",
-                                hb_timeout.as_secs_f64()
+                                opts.heartbeat_timeout.as_secs_f64()
                             ),
                         )?;
                     }
                 }
                 None => {
-                    if s.last_line.elapsed() >= hb_interval {
+                    if s.last_line.elapsed() >= opts.heartbeat_interval {
                         let beat = s.beats;
                         s.beats += 1;
                         s.ping = Some((beat, Instant::now()));
@@ -897,8 +535,7 @@ impl Supervisor<'_> {
         if self.slots[slot].dead || self.slots[slot].respawn_at.is_some() {
             return Ok(());
         }
-        let window = self.opts.window.max(1);
-        while self.slots[slot].in_flight.len() < window {
+        while self.slots[slot].in_flight.len() < WINDOW {
             let Some(seq) = self.pending.pop_front() else {
                 return Ok(());
             };
@@ -936,26 +573,21 @@ impl Supervisor<'_> {
         if self.slots[slot].dead {
             return Ok(());
         }
-        let tail = {
-            let s = &mut self.slots[slot];
-            s.faults += 1;
-            s.link.kill();
-            s.link.wait();
-            s.ping = None;
-            s.front_since = None;
-            // Resubmit lost specs at the head of the queue in their
-            // original order: the earliest unfilled report slots are the
-            // ones the merge is waiting on. Only unacknowledged seqs are
-            // in flight, so no spec can ever run for an already-filled
-            // slot (at-most-once).
-            let lost = std::mem::take(&mut s.in_flight);
-            debug_assert!(lost.iter().all(|&seq| self.results[seq].is_none()));
-            for &seq in lost.iter().rev() {
-                self.pending.push_front(seq);
-            }
-            self.slots[slot].stderr.snapshot()
-        };
-        let faults = self.slots[slot].faults;
+        let s = &mut self.slots[slot];
+        s.faults += 1;
+        s.link.kill();
+        s.ping = None;
+        s.front_since = None;
+        // Resubmit lost specs at the head of the queue in their original
+        // order: the earliest unfilled report slots are the ones the
+        // merge is waiting on. Only unacknowledged seqs are in flight, so
+        // no spec can ever run for an already-filled slot (at-most-once).
+        let lost = std::mem::take(&mut s.in_flight);
+        debug_assert!(lost.iter().all(|&seq| self.results[seq].is_none()));
+        for &seq in lost.iter().rev() {
+            self.pending.push_front(seq);
+        }
+        let (faults, tail) = (s.faults, s.stderr.snapshot());
         eprintln!("sweep: worker slot {slot} fault #{faults}: {reason}");
         for line in &tail {
             eprintln!("sweep: worker slot {slot} stderr| {line}");
@@ -1001,7 +633,7 @@ impl Supervisor<'_> {
         self.summary.respawns += 1;
         let faults = self.slots[slot].faults;
         let incarnation = self.slots[slot].incarnation + 1;
-        match self.spawn_slot(slot, incarnation, false) {
+        match self.spawn_slot(slot, incarnation) {
             Ok(mut replacement) => {
                 replacement.faults = faults;
                 self.slots[slot] = replacement;

@@ -1,12 +1,12 @@
 //! The worker side of the sweep protocol.
 //!
-//! A worker reads `SPEC`/`PING` lines from its channel (stdin, or a TCP
-//! socket when started with [`CONNECT_FLAG`]), runs each scenario to
-//! completion, and writes one `REPORT` (or `ERR`) line per spec, in the
-//! order received. It exits cleanly when its input closes. Workers are
-//! usually re-execs of the supervisor's own binary: binaries opt in by
-//! calling [`worker_main`] when their first argument is [`WORKER_FLAG`],
-//! before any other argument parsing.
+//! A worker reads `SPEC`/`PING` lines from its input (stdin under
+//! [`worker_main`]), runs each scenario to completion, and writes one
+//! `REPORT` (or `ERR`) line per spec, in the order received. It exits
+//! cleanly when its input closes. Workers are usually re-execs of the
+//! supervisor's own binary: binaries opt in by calling [`worker_main`]
+//! when their first argument is [`WORKER_FLAG`], before any other
+//! argument parsing.
 //!
 //! The loop is split over two threads so the robustness layer upstairs
 //! can distinguish fault classes:
@@ -30,26 +30,15 @@ use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use besync_scenarios::codec;
 
 use crate::protocol::{self, Request};
+use crate::supervisor::run_spec;
 
 /// Hidden argv flag that turns a participating binary into a worker.
 pub const WORKER_FLAG: &str = "--sweep-worker";
-
-/// Worker argv flag selecting the TCP channel: `--connect host:port`
-/// makes the worker dial the supervisor's listener and speak the
-/// protocol over the socket instead of stdin/stdout.
-pub const CONNECT_FLAG: &str = "--connect";
-
-/// Worker argv flag carrying the TCP spawn's handshake token
-/// (`--connect-token <hex>`): the worker writes the token as its first
-/// line on the socket, and the supervisor adopts only the connection
-/// that presents it — an unrelated local process dialing the listener
-/// port cannot be mistaken for the worker.
-pub const TOKEN_FLAG: &str = "--connect-token";
 
 /// Fault-injection hook: a [`Fault`] spec like `hang:2` or `exit:1:3`.
 /// Every fault-class end-to-end test drives the worker through this
@@ -180,75 +169,20 @@ impl Fault {
     }
 }
 
-/// Runs the worker loop. Call this (and nothing else) when a binary is
-/// invoked with [`WORKER_FLAG`]. Scans its own argv for [`CONNECT_FLAG`]
-/// (and [`TOKEN_FLAG`]) to pick the channel: present → TCP dial-back,
-/// absent → stdin/stdout. A channel flag without its value is a hard
-/// usage error — silently falling back to stdin would surface at the
-/// supervisor only as an opaque connect-timeout or early-exit fault.
+/// Runs the worker loop on stdin/stdout. Call this (and nothing else)
+/// when a binary is invoked with [`WORKER_FLAG`].
 pub fn worker_main() -> std::process::ExitCode {
-    let mut addr = None;
-    let mut token = None;
-    let mut args = std::env::args();
-    args.next(); // argv[0]
-    while let Some(a) = args.next() {
-        let target = if a == CONNECT_FLAG {
-            &mut addr
-        } else if a == TOKEN_FLAG {
-            &mut token
-        } else {
-            continue;
-        };
-        match args.next() {
-            Some(v) => *target = Some(v),
-            None => {
-                eprintln!(
-                    "sweep-worker: {a} requires a value \
-                     (usage: {CONNECT_FLAG} host:port [{TOKEN_FLAG} hex])"
-                );
-                return std::process::ExitCode::FAILURE;
-            }
-        }
-    }
-    match addr {
-        Some(addr) => {
-            let mut stream = match std::net::TcpStream::connect(&addr) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("sweep-worker: could not connect to {addr}: {e}");
-                    return std::process::ExitCode::FAILURE;
-                }
-            };
-            // Handshake first: the supervisor adopts this connection
-            // only after reading the spawn's token back.
-            if let Some(token) = token {
-                if let Err(e) = writeln!(stream, "{token}").and_then(|()| stream.flush()) {
-                    eprintln!("sweep-worker: could not send handshake token: {e}");
-                    return std::process::ExitCode::FAILURE;
-                }
-            }
-            let reader = match stream.try_clone() {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("sweep-worker: could not clone socket: {e}");
-                    return std::process::ExitCode::FAILURE;
-                }
-            };
-            run_worker(BufReader::new(reader), stream)
-        }
-        None => {
-            // Stdin/Stdout handles (not their !Send locks) — the worker
-            // loop moves its streams across its internal threads.
-            run_worker(BufReader::new(std::io::stdin()), std::io::stdout())
-        }
-    }
+    // Stdin/Stdout handles (not their !Send locks) — the worker loop
+    // moves its streams across its internal threads.
+    run_worker(BufReader::new(std::io::stdin()), std::io::stdout())
 }
 
 /// The newline-free burst a `flood:<n>` fault writes: comfortably past
 /// the supervisor's 1 MiB per-line bound.
 const FLOOD_BYTES: usize = 2 << 20;
 
-/// The worker loop, parameterized over its streams for testability.
+/// The worker loop, parameterized over its streams: tests hand it byte
+/// slices, and any other byte channel can carry the protocol unchanged.
 /// `Send` bounds exist because the loop is internally two-threaded; the
 /// borrow never outlives this call (scoped threads).
 pub fn run_worker(input: impl BufRead + Send, output: impl Write + Send) -> std::process::ExitCode {
@@ -370,17 +304,12 @@ fn handle_spec(seq: usize, spec_text: &str) -> String {
         Ok(spec) => spec,
         Err(e) => return protocol::format_err(seq, &format!("bad spec: {e}")),
     };
-    let build_start = Instant::now();
-    let system = spec.build();
-    let build_seconds = build_start.elapsed().as_secs_f64();
-    let run_start = Instant::now();
-    let report = system.run();
-    let wall_seconds = run_start.elapsed().as_secs_f64();
+    let outcome = run_spec(&spec);
     protocol::format_report(
         seq,
-        build_seconds,
-        wall_seconds,
-        &codec::encode_report(&report),
+        outcome.build_seconds,
+        outcome.wall_seconds,
+        &codec::encode_report(&outcome.report),
     )
 }
 

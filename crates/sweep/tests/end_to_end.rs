@@ -1,11 +1,10 @@
 //! End-to-end sharded sweeps against real worker processes.
 //!
 //! These drive the actual supervisor ⇄ worker protocol using the
-//! `besync-sweep-worker` binary (built by cargo alongside this test) over
-//! both transports, plus hostile stand-ins (`cat`, `sleep`, `true`) and
-//! the [`FAULT_ENV`] injection harness that exercise every fault class:
-//! crash, hang, stall, garble, flood, and an unresponsive/partitioned
-//! peer. The workspace-root `tests/sweep_equivalence.rs` pins the same
+//! `besync-sweep-worker` binary (built by cargo alongside this test),
+//! plus hostile stand-ins (`cat`, `sleep`, `true`) and the [`FAULT_ENV`]
+//! injection harness that exercise every fault class: crash, hang,
+//! stall, garble, flood, and an unresponsive (silent) worker. The workspace-root `tests/sweep_equivalence.rs` pins the same
 //! guarantees at figure-grid scale through the `experiments` binary.
 
 use std::path::PathBuf;
@@ -13,8 +12,7 @@ use std::time::Duration;
 
 use besync_scenarios::{by_name, ScenarioSpec};
 use besync_sweep::{
-    sweep, BackoffPolicy, Shards, SweepOptions, SweepOutcome, SweepRun, TransportKind, WorkerSpawn,
-    CONNECT_FLAG, FAULT_ENV, TOKEN_FLAG,
+    sweep, BackoffPolicy, Shards, SweepOptions, SweepOutcome, SweepRun, WorkerSpawn, FAULT_ENV,
 };
 
 fn worker_bin() -> WorkerSpawn {
@@ -151,19 +149,6 @@ fn sharded_outcomes_match_in_process_bit_for_bit() {
 }
 
 #[test]
-fn tcp_transport_matches_pipes_bit_for_bit() {
-    let specs = mixed_specs();
-    let baseline = baseline();
-    let mut opts = sharded(2);
-    opts.transport = TransportKind::Tcp {
-        bind: "127.0.0.1:0".to_string(),
-    };
-    let run = sweep(&specs, &opts).unwrap();
-    assert_outcomes_identical(&baseline, &run.outcomes);
-    assert_eq!(run.summary.respawns, 0);
-}
-
-#[test]
 fn crashing_workers_respawn_and_the_merge_is_unchanged() {
     // Every initial worker aborts on receiving its 2nd spec; respawned
     // replacements are clean.
@@ -175,15 +160,6 @@ fn instantly_crashing_workers_recover_within_the_budget() {
     // Abort on the 1st spec: no initial worker ever replies. The clean
     // replacements finish the sweep inside the default budget.
     assert_recovers(&with_fault(sharded(2), "abort:1"), 2);
-}
-
-#[test]
-fn crashing_tcp_workers_respawn_too() {
-    let mut opts = with_fault(sharded(2), "abort:1");
-    opts.transport = TransportKind::Tcp {
-        bind: "127.0.0.1:0".to_string(),
-    };
-    assert_recovers(&opts, 2);
 }
 
 #[test]
@@ -237,9 +213,8 @@ fn flooding_workers_hit_the_line_bound_and_are_replaced() {
 fn unresponsive_workers_are_detected_by_heartbeat() {
     // `sleep 30` accepts specs (the pipe buffers them) but never writes
     // a byte: no crash, no EOF, no reply to deadline against — only the
-    // PING/PONG probe can tell it is gone. This is also the local model
-    // of a partitioned TCP peer. Budget 0 → first fault retires the
-    // slot and the sweep degrades to in-process completion.
+    // PING/PONG probe can tell it is gone. Budget 0 → first fault
+    // retires the slot and the sweep degrades to in-process completion.
     let mut opts = SweepOptions {
         worker: WorkerSpawn::Command("sleep".into(), vec!["30".to_string()]),
         max_respawns: 0,
@@ -339,68 +314,6 @@ fn retired_slot_with_idle_survivor_hands_its_specs_over() {
         "the surviving worker, not the in-process drain, must absorb \
          the retired slot's specs"
     );
-}
-
-#[test]
-fn tcp_rogue_connections_are_never_adopted_as_workers() {
-    use besync_sweep::protocol;
-    use besync_sweep::transport::{TcpTransport, WorkerTransport};
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-
-    let mut t = TcpTransport::bind("127.0.0.1:0").unwrap();
-    let addr = t.addr().to_string();
-    // Rogues dial in before the worker even spawns and inject
-    // protocol-shaped junk; they sit ahead of the real worker in the
-    // accept queue, exactly the adoption window under attack.
-    let rogues: Vec<TcpStream> = (0..2)
-        .map(|i| {
-            let mut s = TcpStream::connect(&addr).unwrap();
-            writeln!(s, "REPORT {i} 0000000000000000 0000000000000000 rogue").unwrap();
-            s
-        })
-        .collect();
-    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_besync-sweep-worker"));
-    cmd.args(t.worker_args());
-    let mut link = t.spawn(cmd).expect("spawn must skip the rogues");
-    // The adopted link must be the genuine worker: only it can answer a
-    // PING. (Read on a helper thread so a regression fails fast instead
-    // of hanging the suite.)
-    let reader = link.take_reader().unwrap();
-    link.write_line(&protocol::format_ping(42)).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut line = String::new();
-        let _ = BufReader::new(reader).read_line(&mut line);
-        let _ = tx.send(line);
-    });
-    let line = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("no reply from the adopted connection — was a rogue adopted?");
-    assert_eq!(line.trim_end(), protocol::format_pong(42));
-    drop(rogues);
-    link.kill();
-    link.wait();
-}
-
-#[test]
-fn worker_rejects_channel_flags_without_values() {
-    // A trailing `--connect` used to fall back silently to stdin — under
-    // the TCP transport that surfaced only as an opaque connect-timeout
-    // at the supervisor. It must be a loud usage error instead.
-    for flag in [CONNECT_FLAG, TOKEN_FLAG] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_besync-sweep-worker"))
-            .arg(flag)
-            .stdin(std::process::Stdio::null())
-            .output()
-            .unwrap();
-        assert!(
-            !out.status.success(),
-            "`{flag}` without a value must exit nonzero"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("requires a value"), "`{flag}`: {stderr}");
-    }
 }
 
 #[test]

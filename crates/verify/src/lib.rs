@@ -40,6 +40,7 @@ pub mod baseline;
 
 use besync::RunReport;
 use besync_scenarios::ScenarioSpec;
+use besync_sim::rng::splitmix64;
 use besync_sim::stats::RunningStats;
 use besync_sweep::{sweep, SweepError, SweepOptions};
 
@@ -115,14 +116,6 @@ pub fn metric_samples(report: &RunReport) -> [(&'static str, f64); 3] {
         ("updates_processed", report.updates_processed as f64),
         ("refreshes_sent", report.refreshes_sent as f64),
     ]
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Derives the `seeds` deterministic variants of a scenario the harness

@@ -2,14 +2,13 @@
 //!
 //! The contract under test: a figure grid run with `--shards 0`
 //! (in-process threads), `--shards 1`, or `--shards 4` (worker
-//! processes) produces **byte-identical CSV output** — over child-process
-//! pipes *and* over the TCP transport — and no worker fault changes a
-//! single byte either: not a crash mid-grid (respawn + resubmission),
-//! not a hang caught by the per-spec deadline, not even every worker
-//! slot dying (graceful degradation to in-process completion). The
-//! workers are real child processes — the `experiments` binary in its
-//! hidden `--sweep-worker` mode — so these tests cross the same channels
-//! production sweeps cross.
+//! processes over child-process pipes) produces **byte-identical CSV
+//! output**, and no worker fault changes a single byte either: not a
+//! crash mid-grid (respawn + resubmission), not a hang caught by the
+//! per-spec deadline, not even every worker slot dying (graceful
+//! degradation to in-process completion). The workers are real child
+//! processes — the `experiments` binary in its hidden `--sweep-worker`
+//! mode — so these tests cross the same channel production sweeps cross.
 //!
 //! `crates/sweep/tests/end_to_end.rs` covers the supervisor mechanics on
 //! tiny scenario batches; this file pins the figure-grid deliverable.
@@ -19,7 +18,7 @@ use std::time::Duration;
 
 use besync_experiments::output::render_csv;
 use besync_experiments::{fig4, fig6, params, Mode};
-use besync_sweep::{BackoffPolicy, Shards, SweepOptions, TransportKind, WorkerSpawn, FAULT_ENV};
+use besync_sweep::{BackoffPolicy, Shards, SweepOptions, WorkerSpawn, FAULT_ENV};
 
 /// Locates the `experiments` binary next to this test executable
 /// (`target/<profile>/deps/<test>-<hash>` → `target/<profile>/`),
@@ -71,13 +70,6 @@ fn opts(shards: Shards) -> SweepOptions {
     }
 }
 
-fn tcp(mut o: SweepOptions) -> SweepOptions {
-    o.transport = TransportKind::Tcp {
-        bind: "127.0.0.1:0".to_string(),
-    };
-    o
-}
-
 const SEED: u64 = 42;
 
 fn fig4_in_process() -> String {
@@ -98,33 +90,15 @@ fn fig4_quick_grid_is_byte_identical_across_shard_counts() {
 }
 
 #[test]
-fn fig4_quick_grid_is_byte_identical_over_tcp() {
-    let in_process = fig4_in_process();
-    for shards in [1u32, 4] {
-        let sharded = render_csv(
-            &fig4::run_with(Mode::Quick, SEED, &tcp(opts(Shards::Workers(shards)))).unwrap(),
-        );
-        assert_eq!(
-            in_process, sharded,
-            "--shards {shards} over TCP diverges from the in-process run"
-        );
-    }
-}
-
-#[test]
 fn fig6_and_param_sweep_quick_grids_are_byte_identical_sharded() {
     // fig6 exercises all five schedulers (incl. the CGM baselines and
     // their polls counter) through the worker pipe; the α/ω sweep
-    // exercises single-spec cells. fig6 additionally crosses the TCP
-    // transport.
+    // exercises single-spec cells.
     let fig6_base =
         render_csv(&fig6::run_with(Mode::Quick, SEED, &opts(Shards::InProcess)).unwrap());
     let fig6_sharded =
         render_csv(&fig6::run_with(Mode::Quick, SEED, &opts(Shards::Workers(2))).unwrap());
     assert_eq!(fig6_base, fig6_sharded);
-    let fig6_tcp =
-        render_csv(&fig6::run_with(Mode::Quick, SEED, &tcp(opts(Shards::Workers(2)))).unwrap());
-    assert_eq!(fig6_base, fig6_tcp);
 
     let params_base =
         render_csv(&params::run_with(Mode::Quick, SEED, &opts(Shards::InProcess)).unwrap());
@@ -133,26 +107,31 @@ fn fig6_and_param_sweep_quick_grids_are_byte_identical_sharded() {
     assert_eq!(params_base, params_sharded);
 }
 
-#[test]
-fn fault_regimes_are_byte_identical_across_shards_and_transports() {
-    // The three simulated-world fault regimes cross the worker pipe and
-    // the TCP transport carrying a fault block in the spec codec and a
-    // fault summary in the report codec; every byte of every report must
-    // match the in-process run for --shards 0/1/4.
+/// The wire text of the reports of the named suite regimes, at quick
+/// scale, swept under `o`.
+fn regime_reports(names: &[&str], o: &SweepOptions) -> Vec<String> {
     use besync_scenarios::codec::encode_report;
     use besync_scenarios::suite::by_name;
-    let specs: Vec<_> = ["lossy_medium", "outage_medium", "crashy_huge"]
+    let specs: Vec<_> = names
         .iter()
         .map(|n| by_name(n).expect("registered fault regime").quick())
         .collect();
-    let reports = |o: &SweepOptions| -> Vec<String> {
-        besync_sweep::sweep(&specs, o)
-            .unwrap()
-            .outcomes
-            .iter()
-            .map(|out| encode_report(&out.report))
-            .collect()
-    };
+    besync_sweep::sweep(&specs, o)
+        .unwrap()
+        .outcomes
+        .iter()
+        .map(|out| encode_report(&out.report))
+        .collect()
+}
+
+#[test]
+fn fault_regimes_are_byte_identical_across_shards() {
+    // The three simulated-world fault regimes cross the worker pipe
+    // carrying a fault block in the spec codec and a fault summary in
+    // the report codec; every byte of every report must match the
+    // in-process run for --shards 0/1/4.
+    let reports =
+        |o: &SweepOptions| regime_reports(&["lossy_medium", "outage_medium", "crashy_huge"], o);
     let in_process = reports(&opts(Shards::InProcess));
     assert!(
         in_process
@@ -166,35 +145,18 @@ fn fault_regimes_are_byte_identical_across_shards_and_transports() {
             in_process, piped,
             "--shards {shards} fault-regime reports diverge over pipes"
         );
-        let over_tcp = reports(&tcp(opts(Shards::Workers(shards))));
-        assert_eq!(
-            in_process, over_tcp,
-            "--shards {shards} fault-regime reports diverge over TCP"
-        );
     }
 }
 
 #[test]
-fn fault_aware_regimes_are_byte_identical_across_shards_and_transports() {
+fn fault_aware_regimes_are_byte_identical_across_shards() {
     // The PR 10 regimes: the fault-aware retransmit scheduler (estimator
     // state, ack plumbing, `fault_aware` codec flag) and the first lossy
     // competitive split. Both must shard byte-identically — the
     // estimator folds acks in simulation order, so any dependence on
     // worker interleaving would show up here as a diverging report.
-    use besync_scenarios::codec::encode_report;
-    use besync_scenarios::suite::by_name;
-    let specs: Vec<_> = ["lossy_aware_medium", "competitive_lossy"]
-        .iter()
-        .map(|n| by_name(n).expect("registered fault regime").quick())
-        .collect();
-    let reports = |o: &SweepOptions| -> Vec<String> {
-        besync_sweep::sweep(&specs, o)
-            .unwrap()
-            .outcomes
-            .iter()
-            .map(|out| encode_report(&out.report))
-            .collect()
-    };
+    let reports =
+        |o: &SweepOptions| regime_reports(&["lossy_aware_medium", "competitive_lossy"], o);
     let in_process = reports(&opts(Shards::InProcess));
     assert!(
         in_process
@@ -207,11 +169,6 @@ fn fault_aware_regimes_are_byte_identical_across_shards_and_transports() {
         assert_eq!(
             in_process, piped,
             "--shards {shards} fault-aware reports diverge over pipes"
-        );
-        let over_tcp = reports(&tcp(opts(Shards::Workers(shards))));
-        assert_eq!(
-            in_process, over_tcp,
-            "--shards {shards} fault-aware reports diverge over TCP"
         );
     }
 }
