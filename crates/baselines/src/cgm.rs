@@ -68,6 +68,16 @@ impl CgmVariant {
     }
 }
 
+/// How often practical variants re-solve the allocation (seconds).
+const REALLOC_PERIOD: f64 = 50.0;
+
+/// Fraction of the poll budget reserved as a uniform exploration floor
+/// (practical variants only).
+const EXPLORATION_FLOOR: f64 = 0.1;
+
+/// Simulation tick (seconds).
+const TICK: f64 = 1.0;
+
 /// Configuration of a CGM run.
 #[derive(Debug, Clone)]
 pub struct CgmConfig {
@@ -82,13 +92,6 @@ pub struct CgmConfig {
     /// The paper holds bandwidth constant for this comparison (`m_B = 0`);
     /// nonzero values are supported for extensions.
     pub bandwidth_change_rate: f64,
-    /// How often practical variants re-solve the allocation (seconds).
-    pub realloc_period: f64,
-    /// Fraction of the poll budget reserved as a uniform exploration
-    /// floor (practical variants only).
-    pub exploration_floor: f64,
-    /// Simulation tick.
-    pub tick: f64,
     /// Warm-up duration (seconds).
     pub warmup: f64,
     /// Measured duration (seconds).
@@ -108,9 +111,6 @@ impl Default for CgmConfig {
             metric: Metric::Staleness,
             cache_bandwidth_mean: 50.0,
             bandwidth_change_rate: 0.0,
-            realloc_period: 50.0,
-            exploration_floor: 0.1,
-            tick: 1.0,
             warmup: 100.0,
             measure: 500.0,
             sim_seed: 0,
@@ -178,7 +178,7 @@ impl CgmSystem {
         // Polls spend the whole refresh budget in steady state.
         let mut kernel = Kernel::new(
             cfg.metric,
-            cfg.tick,
+            TICK,
             cfg.warmup,
             cfg.measure,
             &mut spec,
@@ -207,7 +207,7 @@ impl CgmSystem {
 
         let mut sched_rng = rng::stream_rng(cfg.sim_seed, streams::SCHEDULER);
         if !matches!(cfg.variant, CgmVariant::IdealCacheBased) {
-            kernel.schedule_aux(total as u32, SimTime::new(cfg.realloc_period));
+            kernel.schedule_aux(total as u32, SimTime::new(REALLOC_PERIOD));
         }
         let mut poll_scheduled = vec![false; total];
         for (idx, &f) in freqs.iter().enumerate() {
@@ -374,7 +374,7 @@ impl Poller {
         let mut freqs = allocate(&rates_hat, budget);
         // Exploration floor: keep every object polled occasionally so
         // estimates can recover, then re-normalize to the budget.
-        let floor = self.cfg.exploration_floor * budget / n as f64;
+        let floor = EXPLORATION_FLOOR * budget / n as f64;
         if floor > 0.0 {
             for f in &mut freqs {
                 if *f < floor {
@@ -399,7 +399,7 @@ impl Poller {
                 self.poll_scheduled[i] = true;
             }
         }
-        k.schedule_aux(n as u32, now + self.cfg.realloc_period);
+        k.schedule_aux(n as u32, now + REALLOC_PERIOD);
     }
 }
 

@@ -1,13 +1,13 @@
-//! `besync-bench` — the suite-wide counter gate, the `--fault-sweep`
+//! `besync-bench` — the registry-wide counter gate, the `--fault-sweep`
 //! table and the statistical `verify` gate (usage: `--help`).
 //!
-//! The gate runs the shared scenario suite (`besync_scenarios::suite()`)
+//! The gate runs the whole scenario registry (`besync_scenarios::all()`)
 //! through the sweep runner and holds every walked [`RunReport`] field
 //! to the bits recorded in `COUNTERS_baseline.txt`: same seed, same
-//! simulation, or the tree has lost determinism. The record is the wire
-//! codec's own text (`codec::encode_report`) under one header line per
-//! scenario and scale, so a report field is declared once, in
-//! `RunReport::walk`, and is gated from then on. Nothing here is timed —
+//! simulation, or the tree has lost determinism. The record's format,
+//! parsing and comparison are `besync_verify::counters`, which
+//! `cargo test` drives too (`tests/counter_gate.rs`); this binary adds
+//! the flags, the file and the printing. Nothing here is timed —
 //! performance numbers come only from `benchmark/`.
 
 use std::num::NonZeroU32;
@@ -16,133 +16,13 @@ use std::time::Instant;
 
 use besync::fault::{FaultProfile, RecoveryPolicy};
 use besync::RunReport;
-use besync_scenarios::{by_name, codec, suite, ScenarioSpec, SystemKind};
+use besync_scenarios::{all, by_name, ScenarioSpec, SystemKind};
 use besync_sweep::{sweep, value, SweepOptions};
+use besync_verify::counters::{self, Entry};
 use besync_verify::{check_scenario, collect, StatBaseline, Tier};
 
-/// One recorded run: the scenario's name, seed and scale, and every
-/// walked field of its report.
-struct Entry {
-    name: String,
-    seed: u64,
-    quick: bool,
-    report: RunReport,
-}
-
-/// Parses a `--record` file: per entry a `scenario <name> seed <seed>
-/// quick <bool>` line, then the report's wire text up to the next such
-/// line.
-fn parse_record(text: &str) -> Result<Vec<Entry>, String> {
-    let mut entries = Vec::new();
-    let mut rest = text.trim_start();
-    while !rest.is_empty() {
-        let (header, body) = rest.split_once('\n').unwrap_or((rest, ""));
-        let end = body.find("\nscenario ").map_or(body.len(), |i| i + 1);
-        let bad = || format!("expected `scenario NAME seed N quick BOOL`, found `{header}`");
-        let words: Vec<&str> = header.trim_end().rsplitn(5, ' ').collect();
-        let [quick, "quick", seed, "seed", name] = words[..] else {
-            return Err(bad());
-        };
-        let name = name.strip_prefix("scenario ").ok_or_else(bad)?;
-        let report = codec::decode_report(&body[..end])
-            .map_err(|e| format!("entry `{name}` (quick={quick}): {e}"))?;
-        entries.push(Entry {
-            name: name.to_string(),
-            seed: seed.parse().map_err(|_| bad())?,
-            quick: quick.parse().map_err(|_| bad())?,
-            report,
-        });
-        rest = body[end..].trim_start();
-    }
-    Ok(entries)
-}
-
-/// `--record`: replaces (or appends) this run's entries in the file at
-/// `path`, leaving entries of the other scale and of unselected
-/// scenarios as they were.
-fn record(path: &str, run: Vec<Entry>) -> Result<(), String> {
-    let mut entries = match std::fs::read_to_string(path) {
-        Ok(text) => parse_record(&text).map_err(|e| format!("{path}: {e}"))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(format!("could not read {path}: {e}")),
-    };
-    for new in run {
-        let old = entries
-            .iter_mut()
-            .find(|e| e.name == new.name && e.quick == new.quick);
-        match old {
-            Some(old) => *old = new,
-            None => entries.push(new),
-        }
-    }
-    let blocks = entries.iter().map(|e| {
-        let report = codec::encode_report(&e.report);
-        format!(
-            "scenario {} seed {} quick {}\n{report}",
-            e.name, e.seed, e.quick
-        )
-    });
-    let text = blocks.collect::<Vec<_>>().join("\n");
-    std::fs::write(path, text).map_err(|e| format!("could not write {path}: {e}"))?;
-    eprintln!("recorded {} entries in {path}", entries.len());
-    Ok(())
-}
-
-/// The wire text of one report field.
-fn wire_value(report: &RunReport, key: &str) -> String {
-    let text = codec::encode_report(report);
-    let mut lines = text.lines();
-    let value = lines.find_map(|line| line.strip_prefix(key)?.strip_prefix(' '));
-    value.unwrap_or("?").to_string()
-}
-
-/// `--compare`: every entry of this run must be recorded in the file at
-/// `path` under the same seed and scale and agree with it on every
-/// walked report field, bit for bit. A run over the whole suite
-/// (`whole`) also fails on a recorded scenario the suite no longer has.
-fn compare(path: &str, run: &[Entry], quick: bool, whole: bool) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
-    let recorded = parse_record(&text).map_err(|e| format!("{path}: {e}"))?;
-    let mut failures = Vec::new();
-    for now in run {
-        let old = recorded
-            .iter()
-            .find(|e| e.name == now.name && e.quick == quick);
-        let Some(old) = old else {
-            failures.push(format!("`{}` has no entry at quick={quick}", now.name));
-            continue;
-        };
-        if old.seed != now.seed {
-            let (name, was, is) = (&now.name, old.seed, now.seed);
-            failures.push(format!(
-                "`{name}` was recorded under seed {was}, runs under {is}"
-            ));
-        } else if let Some(key) = old.report.first_difference(&now.report) {
-            let (was, is) = (wire_value(&old.report, key), wire_value(&now.report, key));
-            failures.push(format!("`{}`: `{key}` was {was}, is {is}", now.name));
-        }
-    }
-    let gone = recorded
-        .iter()
-        .filter(|old| whole && old.quick == quick && !run.iter().any(|now| now.name == old.name));
-    failures.extend(gone.map(|old| format!("`{}` is recorded but not in the suite", old.name)));
-    for failure in &failures {
-        eprintln!("compare: MISMATCH {failure}");
-    }
-    if failures.is_empty() {
-        let n = run.len();
-        eprintln!("compare: {n} scenario(s) match {path} on every report field");
-        return Ok(());
-    }
-    Err(format!(
-        "{} mismatch(es) against {path} (quick={quick}); if the change is meant to move the \
-         simulation, re-record with --record {path}",
-        failures.len()
-    ))
-}
-
 const HELP: &str = "\
-besync-bench — the suite-wide counter gate over seeded end-to-end scenarios
+besync-bench — the registry-wide counter gate over seeded end-to-end scenarios
 
 usage: besync-bench [--compare PATH] [--record PATH] [--only NAME] [--quick]
                     [--shards N] [--spec-deadline SECS] [--list] [--fault-sweep]
@@ -259,8 +139,8 @@ fn fault_sweep(quick: bool) {
     }
 }
 
-/// The gate: runs the selected suite scenarios through the sweep runner,
-/// prints their counters, then compares and/or records them.
+/// The gate: runs the selected registry scenarios through the sweep
+/// runner, prints their counters, then compares and/or records them.
 fn gate(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut compare_path: Option<String> = None;
     let mut record_path: Option<String> = None;
@@ -279,7 +159,7 @@ fn gate(mut args: impl Iterator<Item = String>) -> Result<(), String> {
                 opts.apply_flag(&a, &value::<String>(&a, &mut args)?)?;
             }
             "--list" => {
-                let scenarios = suite();
+                let scenarios = all();
                 let width = scenarios.iter().map(|s| s.name.len()).max().unwrap_or(0);
                 for s in &scenarios {
                     println!("{:<width$}  {}", s.name, s.description);
@@ -298,7 +178,7 @@ fn gate(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         return Ok(());
     }
 
-    let selected: Vec<ScenarioSpec> = suite()
+    let selected: Vec<ScenarioSpec> = all()
         .into_iter()
         .filter(|s| only.as_deref().is_none_or(|o| o == s.name))
         .map(|s| if quick { s.quick() } else { s })
@@ -328,18 +208,30 @@ fn gate(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             report.feedback_messages,
             report.mean_divergence()
         );
-        run.push(Entry {
-            name: spec.name.clone(),
-            seed: spec.seed,
-            quick,
-            report,
-        });
+        run.push(Entry::new(spec, quick, report));
     }
     if let Some(path) = compare_path {
-        compare(&path, &run, quick, only.is_none())?;
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("could not read {path}: {e}"))?;
+        counters::compare(&text, &run, only.is_none()).map_err(|e| {
+            format!(
+                "this run (quick={quick}) disagrees with {path}:\n{e}\nif the change is meant \
+                 to move the simulation, re-record with --record {path}"
+            )
+        })?;
+        let n = run.len();
+        eprintln!("compare: {n} scenario(s) match {path} on every report field");
     }
     if let Some(path) = record_path {
-        record(&path, run)?;
+        let old = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(format!("could not read {path}: {e}")),
+        };
+        let n = run.len();
+        let new = counters::record(&old, run).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(&path, new).map_err(|e| format!("could not write {path}: {e}"))?;
+        eprintln!("recorded {n} entries in {path}");
     }
     Ok(())
 }

@@ -169,8 +169,14 @@ fn run_command(cmd: &str, opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// The commands whose grids go through the sweep runner, and so the
+/// only ones (with `all`, which forwards to them) that take `--shards`
+/// and `--spec-deadline`.
+const SWEPT: [&str; 4] = ["fig4", "fig5", "fig6", "param-sweep"];
+
 fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut cmd: Option<String> = None;
+    let mut swept = false;
     let mut opts = Opts {
         mode: Mode::Standard,
         seed: 42,
@@ -187,6 +193,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             "--seed" => opts.seed = value(&a, &mut args)?,
             "--out" => opts.out = value(&a, &mut args)?,
             "--shards" | "--spec-deadline" => {
+                swept = true;
                 opts.sweep
                     .apply_flag(&a, &value::<String>(&a, &mut args)?)?;
             }
@@ -199,6 +206,12 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         }
     }
     let cmd = cmd.ok_or_else(|| format!("no command given\n{HELP}"))?;
+    if swept && !SWEPT.contains(&cmd.as_str()) && cmd != "all" {
+        return Err(format!(
+            "--shards and --spec-deadline go with {} (or all), not `{cmd}`, which runs no sweep",
+            SWEPT.join(", ")
+        ));
+    }
     run_command(&cmd, &opts)
 }
 
@@ -227,7 +240,8 @@ usage: experiments <command> [--mode quick|standard|full] [--seed N] [--out DIR]
 across N worker processes instead of in-process threads (0, the
 default). Output is byte-identical for any N — the sweep runner merges
 worker reports in input order and the codec round-trips every value bit
-for bit. Other commands ignore the flag.
+for bit. `all` forwards the flag to those four; on any other command it
+is a usage error, as is --spec-deadline.
 
 --spec-deadline SECS bounds how long a worker may hold one spec before
 it is presumed hung, killed, and replaced (default 600; 0 disables).
@@ -262,7 +276,26 @@ mod tests {
         let retired = concat!("--", "workers");
         let err = refuse(&["fig4", retired, "tcp"]);
         assert!(err.contains("unexpected argument"), "{err}");
+        // A command that runs no sweep refuses the sweep flags.
+        for cmd in [
+            "validate-uniform",
+            "validate-skew",
+            "bounds",
+            "sampling",
+            "competitive",
+        ] {
+            for flag in [["--shards", "2"], ["--spec-deadline", "5"]] {
+                let err = refuse(&[cmd, flag[0], flag[1]]);
+                assert!(
+                    err.contains(cmd) && err.contains("fig4, fig5, fig6, param-sweep"),
+                    "{err}"
+                );
+                // The flag may come first.
+                assert_eq!(refuse(&[flag[0], flag[1], cmd]), err);
+            }
+        }
         assert!(HELP.contains("[--shards N] [--spec-deadline SECS]"));
+        assert!(!HELP.contains("ignore the flag"));
         for gone in [retired, "--connect", "tcp"] {
             assert!(!HELP.contains(gone), "`{gone}` still in the help text");
         }

@@ -400,7 +400,8 @@ pub fn walk_spec(
 ///
 /// Returns an error if the scenario uses a deviation function other than
 /// the standard absolute difference (function pointers don't serialize),
-/// or if its name or description holds a line break.
+/// if its name or description holds a line break, or if
+/// [`ScenarioSpec::check`] refuses it (the far side could not run it).
 pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
     if let Metric::Deviation(f) = spec.metric {
         // Function pointers don't serialize and can't be compared
@@ -415,6 +416,7 @@ pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
             ));
         }
     }
+    spec.check()?;
     let mut out = begin(HEADER);
     walk_spec(&mut spec.clone(), |key, field| put(&mut out, key, field))?;
     Ok(out)
@@ -425,18 +427,15 @@ pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
 /// # Errors
 ///
 /// Returns a message naming the first malformed or missing field, in
-/// wire order.
+/// wire order, or [`ScenarioSpec::check`]'s refusal of the decoded
+/// scenario.
 pub fn decode(text: &str) -> Result<ScenarioSpec, String> {
     let pairs = pairs(text, HEADER)?;
     // Fields the walk does not visit keep these defaults: no fault
     // profile, and outside §7 `psi = 0` with the piggyback share.
     let mut spec = ScenarioSpec::default();
     walk_spec(&mut spec, |key, field| take(&pairs, key, field))?;
-    if let Some(profile) = spec.fault {
-        profile
-            .validate()
-            .map_err(|e| format!("invalid fault profile: {e}"))?;
-    }
+    spec.check()?;
     Ok(spec)
 }
 
@@ -811,6 +810,23 @@ mod tests {
         let truncated = without_field(&text, "fault_crash_rate");
         let err = decode(&truncated).unwrap_err();
         assert!(err.contains("fault_crash_rate"), "{err}");
+        // A profile the system kind cannot model is refused in both
+        // directions, so no worker is ever asked to `build()` it: the
+        // pollers and the ideal scheduler model refresh loss only.
+        let outage = replace_field_value(&text, "fault_outage_rate", "0.01");
+        let outage = replace_field_value(&outage, "fault_outage_duration", "5");
+        assert!(decode(&outage).is_ok(), "coop models outages");
+        for (system, kind) in [("cgm1", "CGM1"), ("ideal", "ideal")] {
+            let lossy = replace_field_value(&text, "system", system);
+            let back = decode(&lossy).expect("loss alone is modelled");
+            let err = decode(&replace_field_value(&outage, "system", system)).unwrap_err();
+            assert!(err.contains(kind) && err.contains("`outage_rate`"), "{err}");
+            let unrunnable = ScenarioSpec {
+                fault: decode(&outage).unwrap().fault,
+                ..back
+            };
+            assert_eq!(encode(&unrunnable).unwrap_err(), err);
+        }
     }
 
     #[test]

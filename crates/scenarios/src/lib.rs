@@ -1,8 +1,8 @@
 //! Shared scenario layer.
 //!
 //! Every consumer of the simulator — the `besync-bench` counter
-//! gate, the figure-regeneration experiments, and the golden
-//! trajectory tests — used to hand-roll its own workload + config
+//! gate, the figure-regeneration experiments, and the trajectory
+//! tests — used to hand-roll its own workload + config
 //! construction. This crate replaces those with one declarative
 //! [`ScenarioSpec`]: a plain-data description of a run (system kind,
 //! object layout, rate/weight regimes, policy, metric, bandwidth waves
@@ -16,7 +16,7 @@
 //! * **Bit-identity.** The lowering calls exactly the construction path
 //!   the consumers called before (`random_walk_poisson`, literal
 //!   `SystemConfig { .. }` updates over defaults), so porting a consumer
-//!   onto a spec cannot move a trajectory. The golden tests pin this.
+//!   onto a spec cannot move a trajectory. The counter record pins this.
 //! * **Serializability.** [`codec`] round-trips a spec through a plain
 //!   text form with no external dependencies. A scenario is therefore a
 //!   value that can be shipped to another process — the unit of work a
@@ -24,7 +24,7 @@
 //!
 //! The named registry in [`suite`] holds the bench scenario set (by
 //! `name`, with one-line descriptions for `besync-bench --list`) and the
-//! golden-test scenarios, so each definition exists exactly once.
+//! small golden scenarios, so each definition exists exactly once.
 
 pub mod codec;
 pub mod spec;

@@ -89,7 +89,7 @@ pub enum WorkloadKind {
 /// construction.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
-    /// Registry name (`besync-bench --only`, golden-test lookup).
+    /// Registry name (`besync-bench --only`, the counter record's key).
     pub name: String,
     /// One-line description for `besync-bench --list`.
     pub description: String,
@@ -447,12 +447,38 @@ impl ScenarioSpec {
             measure: self.measure,
             sim_seed: self.sim_seed,
             fault: self.fault,
-            ..CgmConfig::default()
         }
+    }
+
+    /// Whether the scenario's system can model its fault profile, asked
+    /// at the boundaries (the codec, the sweep runner) so that a spec
+    /// [`build`](Self::build) would panic on is an error there instead.
+    ///
+    /// # Errors
+    ///
+    /// The profile is invalid, or the system is an ideal or CGM scheduler
+    /// — which model refresh loss only — and the profile sets a field it
+    /// would have to ignore. The message names the kind and the field.
+    pub fn check(&self) -> Result<(), String> {
+        let Some(profile) = self.fault else {
+            return Ok(());
+        };
+        let checked = match self.system {
+            SystemKind::Coop | SystemKind::Competitive => profile.validate(),
+            SystemKind::Ideal => profile.loss_only_lane(self.sim_seed, "ideal").map(drop),
+            SystemKind::Cgm(variant) => profile
+                .loss_only_lane(self.sim_seed, variant.name())
+                .map(drop),
+        };
+        checked.map_err(|e| format!("invalid fault profile: {e}"))
     }
 
     /// Builds the ready-to-run system over a workload already lowered
     /// (lets harnesses time workload construction separately).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a scenario [`check`](Self::check) refuses.
     pub fn build_from(&self, spec: WorkloadSpec) -> ReadySystem {
         match self.system {
             SystemKind::Coop => {

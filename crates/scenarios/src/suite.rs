@@ -1,10 +1,11 @@
 //! The named scenario registry.
 //!
-//! [`suite`] is the `besync-bench` scenario set; [`goldens`] holds the
-//! fixed configurations whose exact trajectories the golden tests pin
-//! (`tests/golden_report.rs`, `tests/scheduler_equivalence.rs`). Each
-//! definition exists exactly once, here, and is referenced by name
-//! everywhere else. Every entry is assembled through
+//! [`suite`] is the bench regime set; [`goldens`] holds the entries
+//! small enough for tier-1 to replay at native scale. `besync-bench`
+//! gates [`all`] of them against `COUNTERS_baseline.txt` at both
+//! scales, and `cargo test` (`tests/counter_gate.rs`) replays the quick
+//! scale plus the goldens as registered. Each definition exists exactly
+//! once, here, and is referenced by name everywhere else. Every entry is assembled through
 //! [`ScenarioSpec::builder`]; the builder starts from
 //! [`ScenarioSpec::default`], so each chain states only what the
 //! scenario pins down — exactly what the struct-update literals it
@@ -395,9 +396,9 @@ fn cgm_bench(name: &str, variant: CgmVariant, seed: u64) -> ScenarioSpec {
         .finish()
 }
 
-/// The fixed configurations pinned by the golden trajectory tests. Their
-/// trajectories must never move without an intentional, commit-annotated
-/// golden regeneration.
+/// The entries small enough for tier-1 to replay at native scale. Like
+/// every recorded trajectory, theirs must never move without an
+/// intentional, commit-annotated re-record.
 pub fn goldens() -> Vec<ScenarioSpec> {
     let ideal = |name: &str, seed: u64, metric, policy, estimator| {
         ScenarioSpec::builder(name)

@@ -82,6 +82,14 @@ fn scenario() -> impl Strategy<Value = ScenarioSpec> {
             Ok(())
         });
         filled.expect("the filling visitor never fails");
+        // The codec refuses a profile the system kind cannot model; the
+        // loss-only schedulers keep just the loss.
+        if let (Err(_), Some(profile)) = (spec.check(), spec.fault) {
+            spec.fault = Some(FaultProfile {
+                loss_prob: profile.loss_prob,
+                ..FaultProfile::default()
+            });
+        }
         spec
     })
 }

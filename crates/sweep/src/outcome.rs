@@ -101,14 +101,16 @@ impl SweepRun {
     }
 }
 
-/// Why a sharded sweep failed. In-process sweeps cannot fail, and
-/// worker crashes/hangs degrade rather than fail — what remains is
-/// caller bugs (unencodable specs, unspawnable commands, protocol-level
-/// rejections).
+/// Why a sweep failed. Worker crashes/hangs degrade rather than fail —
+/// what remains is caller bugs (unrunnable or unencodable specs,
+/// unspawnable commands, protocol-level rejections), and of those an
+/// in-process sweep can only meet the first.
 #[derive(Debug)]
 pub enum SweepError {
-    /// A spec refused to encode (e.g. a custom deviation function);
-    /// detected before any process is spawned.
+    /// A spec its system kind cannot run (`ScenarioSpec::check`), on
+    /// either path, or one that refused to encode for a worker (e.g. a
+    /// custom deviation function); detected before any spec runs or any
+    /// process is spawned.
     Encode {
         /// Name of the offending scenario.
         scenario: String,
@@ -140,7 +142,7 @@ impl fmt::Display for SweepError {
             SweepError::Encode { scenario, message } => {
                 write!(
                     f,
-                    "scenario `{scenario}` cannot be shipped to a worker: {message}"
+                    "scenario `{scenario}` was refused before the sweep started: {message}"
                 )
             }
             SweepError::Spawn { message } => write!(f, "could not spawn sweep worker: {message}"),

@@ -52,11 +52,18 @@ use crate::worker::{FAULT_ENV, WORKER_FLAG};
 
 /// Runs every spec and returns the finished [`SweepRun`]: outcomes **in
 /// input order** — the supervisor's whole point — plus the robustness
-/// [`SweepSummary`]. With [`Shards::InProcess`] this cannot fail; with
-/// [`Shards::Workers`] it spawns processes and can. Call
-/// [`SweepRun::into_outcomes`] to print the summary and keep just the
-/// outcomes.
+/// [`SweepSummary`]. A spec its system kind cannot run
+/// ([`ScenarioSpec::check`]) fails the sweep before anything runs; past
+/// that, [`Shards::InProcess`] cannot fail, while [`Shards::Workers`]
+/// spawns processes and can. Call [`SweepRun::into_outcomes`] to print
+/// the summary and keep just the outcomes.
 pub fn sweep(specs: &[ScenarioSpec], opts: &SweepOptions) -> Result<SweepRun, SweepError> {
+    for spec in specs {
+        spec.check().map_err(|message| SweepError::Encode {
+            scenario: spec.name.clone(),
+            message,
+        })?;
+    }
     match opts.shards {
         Shards::Workers(n) if !specs.is_empty() => run_sharded(specs, n as usize, opts),
         // In-process, or nothing to shard.

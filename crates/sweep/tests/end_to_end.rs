@@ -8,11 +8,13 @@
 //! guarantees at figure-grid scale through the `experiments` binary.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use besync::fault::FaultProfile;
 use besync_scenarios::{by_name, ScenarioSpec};
 use besync_sweep::{
-    sweep, BackoffPolicy, Shards, SweepOptions, SweepOutcome, SweepRun, WorkerSpawn, FAULT_ENV,
+    sweep, BackoffPolicy, Shards, SweepError, SweepOptions, SweepOutcome, SweepRun, WorkerSpawn,
+    FAULT_ENV,
 };
 
 fn worker_bin() -> WorkerSpawn {
@@ -68,33 +70,8 @@ fn baseline() -> Vec<SweepOutcome> {
 fn assert_outcomes_identical(a: &[SweepOutcome], b: &[SweepOutcome]) {
     assert_eq!(a.len(), b.len());
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            x.report.updates_processed, y.report.updates_processed,
-            "slot {i}: updates"
-        );
-        assert_eq!(
-            x.report.refreshes_sent, y.report.refreshes_sent,
-            "slot {i}: refreshes"
-        );
-        assert_eq!(
-            x.report.refreshes_delivered, y.report.refreshes_delivered,
-            "slot {i}: delivered"
-        );
-        assert_eq!(
-            x.report.feedback_messages, y.report.feedback_messages,
-            "slot {i}: feedback"
-        );
-        assert_eq!(x.report.polls_sent, y.report.polls_sent, "slot {i}: polls");
-        assert_eq!(
-            x.report.mean_divergence().to_bits(),
-            y.report.mean_divergence().to_bits(),
-            "slot {i}: divergence bits"
-        );
-        assert_eq!(
-            x.report.divergence.total_weighted.to_bits(),
-            y.report.divergence.total_weighted.to_bits(),
-            "slot {i}: weighted divergence bits"
-        );
+        let moved = x.report.first_difference(&y.report);
+        assert_eq!(moved, None, "slot {i}: the reports differ in this field");
     }
 }
 
@@ -146,6 +123,38 @@ fn sharded_outcomes_match_in_process_bit_for_bit() {
     // More workers than specs: clamped, still identical.
     let outcomes = sweep(&specs[..2], &sharded(16)).unwrap().into_outcomes();
     assert_outcomes_identical(&baseline[..2], &outcomes);
+}
+
+#[test]
+fn a_spec_its_system_cannot_run_fails_the_sweep_before_anything_runs() {
+    // CGM models refresh loss only and `build()` panics on an outage
+    // rate. In a worker that panic kills the compute loop under an I/O
+    // thread that keeps answering PINGs, so only 1 + `max_respawns` spec
+    // deadlines would end the wait: the refusal has to come first.
+    let mut bad = by_name("equiv_cgm1").unwrap();
+    bad.fault = Some(FaultProfile {
+        outage_rate: 0.01,
+        outage_duration: 5.0,
+        ..FaultProfile::default()
+    });
+    let specs = [by_name("small").unwrap().quick(), bad];
+    let start = Instant::now();
+    for opts in [SweepOptions::default(), sharded(1)] {
+        let refused = sweep(&specs, &opts).expect_err("an unrunnable spec was swept");
+        let SweepError::Encode { scenario, message } = &refused else {
+            panic!("expected a refused spec, got: {refused}");
+        };
+        assert_eq!(scenario, "equiv_cgm1");
+        assert!(
+            message.contains("CGM1") && message.contains("`outage_rate`"),
+            "{message}"
+        );
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        start.elapsed()
+    );
 }
 
 #[test]

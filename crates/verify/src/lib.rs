@@ -1,8 +1,8 @@
 //! Statistical acceptance: distribution-level verification across seeds.
 //!
-//! The trajectory goldens (`tests/golden_report.rs`,
-//! `tests/scheduler_equivalence.rs`) pin *bit identity*: the strongest
-//! possible check, but one that any numerics change trips — even a
+//! The counter record ([`counters`], `COUNTERS_baseline.txt`) pins *bit
+//! identity*: the strongest possible check, but one that any numerics
+//! change trips — even a
 //! change that provably preserves the physics, like replacing a
 //! bisection with a Newton solve or resampling exponential gaps in
 //! batches. The paper's results are *distributional* claims
@@ -37,6 +37,7 @@
 //! population to pass unnoticed.
 
 pub mod baseline;
+pub mod counters;
 
 use besync::RunReport;
 use besync_scenarios::ScenarioSpec;

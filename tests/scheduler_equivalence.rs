@@ -1,159 +1,13 @@
-//! Scheduler-port equivalence goldens for `IdealSystem` and the CGM
-//! baselines.
+//! The §7 competitive goldens.
 //!
-//! PR 2 moved both off a generic `BinaryHeap` event queue and a
-//! lazy-invalidation priority heap (both since deleted) onto the
-//! `CalendarQueue` + unified indexed heap that `CoopSystem` already
-//! uses. The constants below are the exact `RunReport` counters of the
-//! **old implementations**, recorded immediately before the port (same
-//! seeds, same configs). The port is required to be
-//! bit-identical: any divergence here means the new schedulers do not
-//! replay the old trajectories and the paper's figures moved.
-//!
-//! To regenerate after an *intentional* trajectory change, run with
-//! `GOLDEN_PRINT=1 cargo test --test scheduler_equivalence -- --nocapture`
-//! and say so in the commit message.
-//!
-//! The ideal/CGM configurations live once in the shared scenario
-//! registry (`besync_scenarios::goldens()`, the `equiv_*` names) and are
-//! referenced here by name, so these tests double as a pin that the
-//! declarative scenario lowering reproduces the hand-rolled
-//! constructions bit for bit. (The §7 competitive goldens below keep
-//! their bespoke construction: their conflicted cache-vs-source weight
-//! setup is deliberately outside the declarative spec.)
-
-use besync::RunReport;
-use besync_scenarios::by_name;
-
-struct Golden {
-    updates_processed: u64,
-    refreshes_sent: u64,
-    polls_sent: u64,
-    mean_divergence: f64,
-}
-
-fn check(name: &str, report: &RunReport, want: &Golden) {
-    if std::env::var_os("GOLDEN_PRINT").is_some() {
-        println!(
-            "{name}: updates_processed: {}, refreshes_sent: {}, polls_sent: {}, \
-             mean_divergence: {:.12e}",
-            report.updates_processed,
-            report.refreshes_sent,
-            report.polls_sent,
-            report.mean_divergence(),
-        );
-        return;
-    }
-    assert_eq!(
-        report.updates_processed, want.updates_processed,
-        "{name}: updates_processed"
-    );
-    assert_eq!(
-        report.refreshes_sent, want.refreshes_sent,
-        "{name}: refreshes_sent"
-    );
-    assert_eq!(report.polls_sent, want.polls_sent, "{name}: polls_sent");
-    assert!(
-        (report.mean_divergence() - want.mean_divergence).abs() < 1e-9,
-        "{name}: mean_divergence {:.12e} != {:.12e}",
-        report.mean_divergence(),
-        want.mean_divergence
-    );
-}
-
-fn run_named(name: &str) -> RunReport {
-    by_name(name).expect("registered golden scenario").run()
-}
-
-#[test]
-fn ideal_staleness_area() {
-    let report = run_named("equiv_ideal_staleness_area");
-    check(
-        "ideal_staleness_area",
-        &report,
-        &Golden {
-            updates_processed: 7289,
-            refreshes_sent: 3400,
-            polls_sent: 0,
-            mean_divergence: 0.3868146125482,
-        },
-    );
-}
-
-#[test]
-fn ideal_deviation_poisson() {
-    let report = run_named("equiv_ideal_deviation_poisson");
-    check(
-        "ideal_deviation_poisson",
-        &report,
-        &Golden {
-            updates_processed: 7431,
-            refreshes_sent: 3400,
-            polls_sent: 0,
-            mean_divergence: 0.3474099768857,
-        },
-    );
-}
-
-#[test]
-fn ideal_lag_simple() {
-    let report = run_named("equiv_ideal_lag_simple");
-    check(
-        "ideal_lag_simple",
-        &report,
-        &Golden {
-            updates_processed: 7198,
-            refreshes_sent: 3399,
-            polls_sent: 0,
-            mean_divergence: 0.6352161554723,
-        },
-    );
-}
-
-#[test]
-fn cgm_ideal_cache_based() {
-    let report = run_named("equiv_cgm_ideal");
-    check(
-        "cgm_ideal_cache_based",
-        &report,
-        &Golden {
-            updates_processed: 6317,
-            refreshes_sent: 6243,
-            polls_sent: 0,
-            mean_divergence: 0.2873052229401,
-        },
-    );
-}
-
-#[test]
-fn cgm1() {
-    let report = run_named("equiv_cgm1");
-    check(
-        "cgm1",
-        &report,
-        &Golden {
-            updates_processed: 6700,
-            refreshes_sent: 3103,
-            polls_sent: 3103,
-            mean_divergence: 0.4538135106601,
-        },
-    );
-}
-
-#[test]
-fn cgm2() {
-    let report = run_named("equiv_cgm2");
-    check(
-        "cgm2",
-        &report,
-        &Golden {
-            updates_processed: 6125,
-            refreshes_sent: 3116,
-            polls_sent: 3116,
-            mean_divergence: 0.4252423568813,
-        },
-    );
-}
+//! Every other pinned trajectory lives in `COUNTERS_baseline.txt`, which
+//! `tests/counter_gate.rs` replays. These three stay as constants
+//! because they pin `CompetitiveReport::source_objective`, which no
+//! `RunReport` field carries, over a bespoke construction: the
+//! conflicted cache-vs-source weight setup below is this file's own
+//! reference copy of the §7 halves rule. An *intentional* trajectory
+//! change edits the constants from the failure messages and says so in
+//! the commit message.
 
 mod competitive_goldens {
     use besync::cache::partition::{BandwidthPartition, SharePolicy};
@@ -172,18 +26,6 @@ mod competitive_goldens {
     }
 
     fn check(name: &str, report: &CompetitiveReport, want: &CompetitiveGolden) {
-        if std::env::var_os("GOLDEN_PRINT").is_some() {
-            println!(
-                "{name}: threshold_refreshes: {}, source_refreshes: {}, \
-                 feedback_messages: {}, cache_objective: {:.12e}, source_objective: {:.12e}",
-                report.threshold_refreshes,
-                report.source_refreshes,
-                report.feedback_messages,
-                report.cache_objective,
-                report.source_objective,
-            );
-            return;
-        }
         assert_eq!(
             report.threshold_refreshes, want.threshold_refreshes,
             "{name}: threshold_refreshes"

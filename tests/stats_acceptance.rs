@@ -1,7 +1,7 @@
 //! Distribution-level acceptance gates against `STATS_baseline.txt`.
 //!
-//! These are the tier-2 companions to the bit-identity goldens in
-//! `golden_report.rs`: instead of demanding one trajectory match
+//! These are the tier-2 companions to the bit-identity gate in
+//! `counter_gate.rs`: instead of demanding one trajectory match
 //! byte-for-byte, each test re-runs a scenario across a set of derived
 //! seeds and z-checks the metric moments (mean divergence, updates,
 //! refreshes) against the moments stored in the baseline. An
