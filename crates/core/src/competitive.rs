@@ -19,8 +19,10 @@
 //! the sends that spend the sources' share. Everything else — threshold
 //! sends, feedback, delivery, every fault class — is the shared protocol,
 //! so at Ψ = 0 a run equals [`crate::CoopSystem`] bit for bit. Both
-//! objectives are accounted against the same update stream, so the Ψ
-//! trade-off is directly measurable.
+//! objectives are accounted against the same update stream and land in
+//! one [`RunReport`]: the cache's is `divergence.mean_weighted`, the
+//! sources' is the report's [`SourceSide`] block, so the Ψ trade-off is
+//! directly measurable and crosses the wire codec like any other run.
 
 use besync_data::{TruthTable, WeightProfile, WeightSet};
 use besync_sim::SimTime;
@@ -31,7 +33,7 @@ use crate::config::SystemConfig;
 use crate::heap::IndexedMaxHeap;
 use crate::kernel::Kernel;
 use crate::priority::PolicyKind;
-use crate::report::RunReport;
+use crate::report::{RunReport, SourceSide};
 use crate::system::{Extension, Protocol, RefreshMsg, System};
 
 /// Configuration of a §7 competitive run.
@@ -66,22 +68,6 @@ pub fn conflicted_halves(spec: &mut WorkloadSpec) -> Vec<WeightProfile> {
         source_weights.push(WeightProfile::constant(source_w));
     }
     source_weights
-}
-
-/// Outcome of a competitive run: both objectives, measured on the same
-/// ground truth.
-#[derive(Debug, Clone)]
-pub struct CompetitiveReport {
-    /// Weighted mean divergence under the cache's weights.
-    pub cache_objective: f64,
-    /// Weighted mean divergence under the sources' weights.
-    pub source_objective: f64,
-    /// Refreshes sent through the threshold (cache-priority) pool.
-    pub threshold_refreshes: u64,
-    /// Refreshes sent from source allocations / piggyback entitlements.
-    pub source_refreshes: u64,
-    /// Positive feedback messages sent.
-    pub feedback_messages: u64,
 }
 
 /// What §7 adds to the §5 protocol: the sources' side of the Ψ split.
@@ -157,29 +143,21 @@ impl CompetitiveSystem {
         self.kernel.run_until(t, &mut self.proto);
     }
 
-    /// Runs to the horizon and reports both objectives.
-    pub fn run(mut self) -> CompetitiveReport {
+    /// Runs to the horizon and reports both objectives: the cache's in
+    /// the common [`RunReport`] fields, the sources' in its
+    /// [`RunReport::competitive`] block.
+    pub fn run(mut self) -> RunReport {
         let horizon = self.horizon();
         self.run_until(horizon);
         let psi = &self.proto.ext;
-        let sent: u64 = self.proto.sources.iter().map(|s| s.sends).sum();
-        CompetitiveReport {
-            cache_objective: self.kernel.truth.report(horizon).mean_weighted,
+        let side = SourceSide {
             source_objective: psi.source_truth.report(horizon).mean_weighted,
-            threshold_refreshes: sent - psi.source_refreshes,
             source_refreshes: psi.source_refreshes,
-            feedback_messages: self.proto.cache.feedback_sent,
+        };
+        RunReport {
+            competitive: Some(Box::new(side)),
+            ..self.into_report()
         }
-    }
-
-    /// Runs to the horizon and reports in the common [`RunReport`] shape
-    /// shared by every other system — divergence is the **cache**
-    /// objective (the §7 analogue of the base protocol's weighted mean),
-    /// refreshes are the threshold + source-entitlement pools combined.
-    /// Harnesses that need the source-side objective use [`Self::run`].
-    pub fn run_report(mut self) -> RunReport {
-        self.run_until(self.horizon());
-        self.into_report()
     }
 }
 
@@ -312,30 +290,27 @@ mod tests {
         }
     }
 
-    fn run_with(psi: f64, policy: SharePolicy) -> CompetitiveReport {
-        let (spec, source_weights) = conflicted();
-        CompetitiveSystem::new(
-            CompetitiveConfig {
-                base: base_cfg(),
-                source_weights,
-                partition: BandwidthPartition::new(psi, policy),
-            },
-            spec,
-        )
-        .run()
+    fn run_with(psi: f64, policy: SharePolicy) -> RunReport {
+        build(None, psi, policy).run()
+    }
+
+    fn side(r: &RunReport) -> SourceSide {
+        *r.competitive
+            .as_deref()
+            .expect("a §7 run reports its source side")
     }
 
     #[test]
     fn psi_zero_matches_plain_protocol_shape() {
         let r = run_with(0.0, SharePolicy::EqualShare);
-        assert_eq!(r.source_refreshes, 0);
-        assert!(r.threshold_refreshes > 0);
+        assert_eq!(side(&r).source_refreshes, 0);
+        assert!(r.refreshes_sent > 0);
     }
 
     #[test]
     fn psi_shifts_the_objectives() {
-        let none = run_with(0.0, SharePolicy::EqualShare);
-        let half = run_with(0.5, SharePolicy::EqualShare);
+        let none = side(&run_with(0.0, SharePolicy::EqualShare));
+        let half = side(&run_with(0.5, SharePolicy::EqualShare));
         // Giving sources bandwidth must help their objective...
         assert!(
             half.source_objective < none.source_objective,
@@ -349,50 +324,16 @@ mod tests {
     #[test]
     fn piggyback_option_sends_source_refreshes() {
         let r = run_with(0.5, SharePolicy::ProportionalToValue);
-        assert!(r.source_refreshes > 0);
+        let own = side(&r).source_refreshes;
+        assert!(own > 0);
         // Ratio 1:1 at Ψ=0.5 — piggybacks bounded by threshold sends
         // (plus own-heap availability).
-        assert!(r.source_refreshes <= r.threshold_refreshes + 1);
-    }
-
-    #[test]
-    fn run_report_is_consistent_with_the_competitive_report() {
-        // Same deterministic build both times: the RunReport adapter must
-        // agree with the §7 report on every shared quantity.
-        let (spec, source_weights) = conflicted();
-        let report = CompetitiveSystem::new(
-            CompetitiveConfig {
-                base: base_cfg(),
-                source_weights,
-                partition: BandwidthPartition::new(0.4, SharePolicy::ProportionalToValue),
-            },
-            spec,
-        )
-        .run();
-        let (spec, source_weights) = conflicted();
-        let rr = CompetitiveSystem::new(
-            CompetitiveConfig {
-                base: base_cfg(),
-                source_weights,
-                partition: BandwidthPartition::new(0.4, SharePolicy::ProportionalToValue),
-            },
-            spec,
-        )
-        .run_report();
-        assert_eq!(
-            rr.refreshes_sent,
-            report.threshold_refreshes + report.source_refreshes
-        );
-        assert_eq!(rr.feedback_messages, report.feedback_messages);
-        assert_eq!(rr.divergence.mean_weighted, report.cache_objective);
-        assert!(rr.updates_processed > 0);
-        assert!(rr.refreshes_delivered > 0 && rr.refreshes_delivered <= rr.refreshes_sent);
-        assert_eq!(rr.polls_sent, 0);
+        assert!(own <= r.refreshes_sent - own + 1);
     }
 
     #[test]
     fn loss_degrades_the_competitive_objectives_and_is_accounted() {
-        let lossy_run = |fault| build(fault, 0.4, SharePolicy::ProportionalToValue).run_report();
+        let lossy_run = |fault| build(fault, 0.4, SharePolicy::ProportionalToValue).run();
         let clean = lossy_run(None);
         assert!(!clean.faults.any());
         let lossy = lossy_run(Some(FaultProfile {
@@ -453,8 +394,13 @@ mod tests {
             )
             .run();
             for policy in [SharePolicy::EqualShare, SharePolicy::ProportionalToValue] {
-                let psi0 = build(fault, 0.0, policy).run_report();
-                let diff = psi0.first_difference(&coop);
+                let psi0 = build(fault, 0.0, policy).run();
+                assert_eq!(side(&psi0).source_refreshes, 0);
+                let cache_side = RunReport {
+                    competitive: None,
+                    ..psi0
+                };
+                let diff = cache_side.first_difference(&coop);
                 assert_eq!(diff, None, "{policy:?}, fault {fault:?}");
             }
         }
@@ -475,7 +421,7 @@ mod tests {
                 recovery,
                 ..FaultProfile::default()
             });
-            let run = || build(fault, 0.4, SharePolicy::ProportionalToValue).run_report();
+            let run = || build(fault, 0.4, SharePolicy::ProportionalToValue).run();
             let (a, b) = (run(), run());
             assert_eq!(a.first_difference(&b), None, "{recovery:?}");
             assert!(a.faults.outages > 0 && a.faults.crashes > 0);
@@ -499,7 +445,6 @@ mod tests {
         // coincide exactly.
         let a = run_with(0.4, SharePolicy::EqualShare);
         let b = run_with(0.4, SharePolicy::ProportionalToObjects);
-        assert_eq!(a.source_refreshes, b.source_refreshes);
-        assert_eq!(a.cache_objective, b.cache_objective);
+        assert_eq!(a.first_difference(&b), None);
     }
 }

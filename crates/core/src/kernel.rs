@@ -175,6 +175,7 @@ impl Kernel {
             threshold_stats: RunningStats::new(),
             updates_processed: self.updates_processed,
             faults: FaultSummary::default(),
+            competitive: None,
         }
     }
 }

@@ -32,6 +32,21 @@ pub struct RunReport {
     pub updates_processed: u64,
     /// Simulated-world fault activity (all zero on the fault-free path).
     pub faults: FaultSummary,
+    /// The sources' side of a §7 competitive run; `None` for every other
+    /// system kind. The cache's side is the rest of the report: its
+    /// objective is `divergence.mean_weighted`, its threshold-pool sends
+    /// are `refreshes_sent − source_refreshes`. Boxed, so the reports of
+    /// the other kinds grow by one pointer.
+    pub competitive: Option<Box<SourceSide>>,
+}
+
+/// What a §7 run measures beyond the §5 report, on the same ground truth.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SourceSide {
+    /// Weighted mean divergence under the sources' weights.
+    pub source_objective: f64,
+    /// Refreshes sent from source allocations or piggyback entitlements.
+    pub source_refreshes: u64,
 }
 
 /// One scalar of a [`RunReport`], handed out by [`RunReport::walk`].
@@ -44,6 +59,9 @@ pub enum Slot<'a> {
     /// A measured quantity; every bit pattern is meaningful (an empty
     /// `RunningStats` carries `±∞`, a degenerate run can produce NaN).
     F64(&'a mut f64),
+    /// Whether an optional block follows: spelled by omission when
+    /// absent, so reports without the block keep their text.
+    Flag(&'a mut bool),
 }
 
 impl RunReport {
@@ -52,7 +70,9 @@ impl RunReport {
     /// comparison ([`RunReport::first_difference`]) and the test
     /// generators all drive this walk, so a new field is the struct field
     /// plus one line here — the destructurings below are exhaustive, so
-    /// it does not compile until it has a wire key.
+    /// it does not compile until it has a wire key. The §7 block comes
+    /// last, behind its [`Slot::Flag`]: a visitor that flips the flag
+    /// adds or drops the block, and the walk carries on from that.
     ///
     /// # Errors
     ///
@@ -72,6 +92,7 @@ impl RunReport {
             threshold_stats,
             updates_processed,
             faults,
+            competitive,
         } = self;
         let DivergenceReport {
             objects,
@@ -137,7 +158,19 @@ impl RunReport {
         visit("fault_resync_quotes", Slot::U64(resync_quotes))?;
         visit("fault_epoch_divergence", Slot::F64(epoch_divergence))?;
         visit("fault_stale_drops", Slot::U64(stale_drops))?;
-        visit("fault_superseded_retries", Slot::U64(superseded_retries))
+        visit("fault_superseded_retries", Slot::U64(superseded_retries))?;
+        let mut present = competitive.is_some();
+        visit("competitive", Slot::Flag(&mut present))?;
+        if !present {
+            *competitive = None;
+            return Ok(());
+        }
+        let SourceSide {
+            source_objective,
+            source_refreshes,
+        } = &mut **competitive.get_or_insert_with(Box::default);
+        visit("source_objective", Slot::F64(source_objective))?;
+        visit("source_refreshes", Slot::U64(source_refreshes))
     }
 
     /// Every walked field as `(wire key, bits)` in wire order, floats by
@@ -149,6 +182,7 @@ impl RunReport {
                 Slot::U64(v) => (key, *v),
                 Slot::Usize(v) => (key, *v as u64),
                 Slot::F64(v) => (key, v.to_bits()),
+                Slot::Flag(v) => (key, *v as u64),
             });
             Ok::<(), Infallible>(())
         });

@@ -7,13 +7,10 @@
 //! at the cost of the cache objective, and option (3) ties a source's say
 //! to its usefulness to the cache.
 
-use besync::cache::partition::{BandwidthPartition, SharePolicy};
-use besync::competitive::{conflicted_halves, CompetitiveConfig, CompetitiveSystem};
-use besync::config::SystemConfig;
-use besync_data::{Metric, WeightProfile};
-use besync_sweep::{default_threads, parallel_map};
-use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
-use besync_workloads::WorkloadSpec;
+use besync::cache::partition::SharePolicy;
+use besync_data::Metric;
+use besync_scenarios::ScenarioSpec;
+use besync_sweep::{sweep, SweepError, SweepOptions};
 
 use crate::output::{fnum, Row};
 use crate::Mode;
@@ -54,68 +51,72 @@ impl Row for CompetitiveRow {
     }
 }
 
-fn conflicted(sources: u32, n: u32, seed: u64) -> (WorkloadSpec, Vec<WeightProfile>) {
-    let mut spec = random_walk_poisson(
-        PoissonWorkloadOptions {
-            sources,
-            objects_per_source: n,
-            rate_range: (0.05, 0.8),
-            weight_range: (1.0, 1.0),
-            fluctuating_weights: false,
-        },
-        seed,
-    );
-    let source_weights = conflicted_halves(&mut spec);
-    (spec, source_weights)
+/// The three sharing options, in row order within each Ψ.
+const OPTIONS: [(SharePolicy, &str); 3] = [
+    (SharePolicy::EqualShare, "equal_share"),
+    (SharePolicy::ProportionalToObjects, "per_object"),
+    (SharePolicy::ProportionalToValue, "piggyback"),
+];
+
+/// Runs the Ψ sweep under all three sharing options, in-process.
+pub fn run(mode: Mode, seed: u64) -> Vec<CompetitiveRow> {
+    run_with(mode, seed, &SweepOptions::default()).expect("in-process sweeps cannot fail")
 }
 
-/// Runs the Ψ sweep under all three sharing options.
-pub fn run(mode: Mode, seed: u64) -> Vec<CompetitiveRow> {
+/// Runs the Ψ sweep through a sweep runner (see [`crate::fig4::run_with`]
+/// for the `--shards` semantics).
+///
+/// # Errors
+///
+/// Only the process-sharded path can fail (worker spawn/protocol).
+pub fn run_with(
+    mode: Mode,
+    seed: u64,
+    opts: &SweepOptions,
+) -> Result<Vec<CompetitiveRow>, SweepError> {
     let (sources, n, measure) = match mode {
         Mode::Quick => (4u32, 10u32, 150.0),
         Mode::Standard => (20, 10, 600.0),
         Mode::Full => (100, 10, 2000.0),
     };
-    let psis = [0.0, 0.2, 0.4, 0.6];
-    let options = [
-        (SharePolicy::EqualShare, "equal_share"),
-        (SharePolicy::ProportionalToObjects, "per_object"),
-        (SharePolicy::ProportionalToValue, "piggyback"),
-    ];
-    let mut jobs = Vec::new();
-    for &psi in &psis {
-        for &(policy, name) in &options {
-            jobs.push((psi, policy, name));
+    let mut cells = Vec::new();
+    let mut specs = Vec::new();
+    for psi in [0.0, 0.2, 0.4, 0.6] {
+        for (share, option) in OPTIONS {
+            cells.push((psi, option));
+            specs.push(
+                ScenarioSpec::builder(format!("competitive/psi{psi}/{option}"))
+                    .seed(seed)
+                    .objects(sources, n)
+                    .rate_range(0.05, 0.8)
+                    .weight_range(1.0, 1.0)
+                    .fluctuating_weights(false)
+                    .metric(Metric::Staleness)
+                    .bandwidth(0.25 * f64::from(sources * n), (0.5 * f64::from(n)).max(2.0))
+                    .window(measure * 0.2, measure)
+                    .competitive(psi, share)
+                    .finish(),
+            );
         }
     }
-    parallel_map(jobs, default_threads(), move |(psi, policy, name)| {
-        let (spec, source_weights) = conflicted(sources, n, seed);
-        let total_objects = (sources * n) as f64;
-        let base = SystemConfig {
-            metric: Metric::Staleness,
-            cache_bandwidth_mean: 0.25 * total_objects,
-            source_bandwidth_mean: (0.5 * n as f64).max(2.0),
-            warmup: measure * 0.2,
-            measure,
-            ..SystemConfig::default()
-        };
-        let report = CompetitiveSystem::new(
-            CompetitiveConfig {
-                base,
-                source_weights,
-                partition: BandwidthPartition::new(psi, policy),
-            },
-            spec,
-        )
-        .run();
-        CompetitiveRow {
-            psi,
-            option: name,
-            cache_objective: report.cache_objective,
-            source_objective: report.source_objective,
-            source_refreshes: report.source_refreshes,
-        }
-    })
+    let outcomes = sweep(&specs, opts)?.into_outcomes();
+    let rows = cells
+        .into_iter()
+        .zip(outcomes)
+        .map(|((psi, option), outcome)| {
+            let report = outcome.report;
+            let side = report
+                .competitive
+                .expect("a §7 run reports its source side");
+            CompetitiveRow {
+                psi,
+                option,
+                cache_objective: report.divergence.mean_weighted,
+                source_objective: side.source_objective,
+                source_refreshes: side.source_refreshes,
+            }
+        });
+    Ok(rows.collect())
 }
 
 #[cfg(test)]
@@ -124,23 +125,31 @@ mod tests {
 
     #[test]
     fn psi_trades_objectives() {
+        // Each Ψ step buys the sources more refreshes and a lower (better)
+        // objective under the explicit-allocation options.
         let rows = run(Mode::Quick, 41);
-        let at = |psi: f64, option: &str| {
-            rows.iter()
-                .find(|r| r.psi == psi && r.option == option)
-                .unwrap()
-                .clone()
-        };
         for option in ["equal_share", "per_object"] {
-            let none = at(0.0, option);
-            let lots = at(0.6, option);
-            assert!(
-                lots.source_objective < none.source_objective,
-                "{option}: source objective should improve with psi ({} -> {})",
-                none.source_objective,
-                lots.source_objective
-            );
-            assert!(lots.source_refreshes > none.source_refreshes);
+            let steps: Vec<&CompetitiveRow> = rows.iter().filter(|r| r.option == option).collect();
+            assert_eq!(steps.len(), 4, "{option}");
+            for pair in steps.windows(2) {
+                let (lo, hi) = (pair[0], pair[1]);
+                assert!(
+                    hi.source_objective < lo.source_objective,
+                    "{option}: source objective should fall from psi {} to {} ({} -> {})",
+                    lo.psi,
+                    hi.psi,
+                    lo.source_objective,
+                    hi.source_objective
+                );
+                assert!(
+                    hi.source_refreshes > lo.source_refreshes,
+                    "{option}: source refreshes should rise from psi {} to {} ({} -> {})",
+                    lo.psi,
+                    hi.psi,
+                    lo.source_refreshes,
+                    hi.source_refreshes
+                );
+            }
         }
     }
 

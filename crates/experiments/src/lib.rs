@@ -16,7 +16,7 @@
 //! competitive system and the CGM baselines — is a handler on the one
 //! event kernel (`besync::kernel`), so figure regeneration takes the
 //! fast path throughout; CI's experiments-smoke job regenerates the
-//! quick fig4/5/6 grids on every PR.
+//! quick fig4/5/6 and §7 grids on every PR.
 
 pub mod bounds;
 pub mod competitive;

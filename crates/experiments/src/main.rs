@@ -12,6 +12,7 @@
 //!   fig6               Figure 6: cooperative vs cache-based (CGM)
 //!   bounds             §9 divergence-bound scheduling
 //!   sampling           §8.2.1 sampling-based priority monitoring
+//!   competitive        §7 competitive environments (Ψ sweep)
 //!   all                everything above, in order
 //! ```
 
@@ -70,7 +71,7 @@ struct Opts {
     seed: u64,
     out: PathBuf,
     /// Sweep distribution for the spec-based grids (fig4/5/6,
-    /// param-sweep): `--shards 0` = in-process threads (the default),
+    /// param-sweep, competitive): `--shards 0` = in-process threads (the default),
     /// `--shards N` = N worker processes. Output is byte-identical
     /// either way — that is the sweep runner's contract.
     sweep: SweepOptions,
@@ -146,7 +147,8 @@ fn run_command(cmd: &str, opts: &Opts) -> Result<(), String> {
             emit("sampling", opts, &rows);
         }
         "competitive" => {
-            let rows = competitive::run(opts.mode, opts.seed);
+            let rows = competitive::run_with(opts.mode, opts.seed, &opts.sweep)
+                .map_err(|e| e.to_string())?;
             emit("competitive", opts, &rows);
         }
         "all" => {
@@ -172,7 +174,7 @@ fn run_command(cmd: &str, opts: &Opts) -> Result<(), String> {
 /// The commands whose grids go through the sweep runner, and so the
 /// only ones (with `all`, which forwards to them) that take `--shards`
 /// and `--spec-deadline`.
-const SWEPT: [&str; 4] = ["fig4", "fig5", "fig6", "param-sweep"];
+const SWEPT: [&str; 5] = ["fig4", "fig5", "fig6", "param-sweep", "competitive"];
 
 fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut cmd: Option<String> = None;
@@ -236,12 +238,12 @@ experiments — regenerate the paper's tables and figures
 usage: experiments <command> [--mode quick|standard|full] [--seed N] [--out DIR]
                    [--shards N] [--spec-deadline SECS]
 
---shards N runs the spec-based grids (fig4, fig5, fig6, param-sweep)
-across N worker processes instead of in-process threads (0, the
-default). Output is byte-identical for any N — the sweep runner merges
-worker reports in input order and the codec round-trips every value bit
-for bit. `all` forwards the flag to those four; on any other command it
-is a usage error, as is --spec-deadline.
+--shards N runs the spec-based grids (fig4, fig5, fig6, param-sweep,
+competitive) across N worker processes instead of in-process threads
+(0, the default). Output is byte-identical for any N — the sweep runner
+merges worker reports in input order and the codec round-trips every
+value bit for bit. `all` forwards the flag to those five; on any other
+command it is a usage error, as is --spec-deadline.
 
 --spec-deadline SECS bounds how long a worker may hold one spec before
 it is presumed hung, killed, and replaced (default 600; 0 disables).
@@ -277,17 +279,11 @@ mod tests {
         let err = refuse(&["fig4", retired, "tcp"]);
         assert!(err.contains("unexpected argument"), "{err}");
         // A command that runs no sweep refuses the sweep flags.
-        for cmd in [
-            "validate-uniform",
-            "validate-skew",
-            "bounds",
-            "sampling",
-            "competitive",
-        ] {
+        for cmd in ["validate-uniform", "validate-skew", "bounds", "sampling"] {
             for flag in [["--shards", "2"], ["--spec-deadline", "5"]] {
                 let err = refuse(&[cmd, flag[0], flag[1]]);
                 assert!(
-                    err.contains(cmd) && err.contains("fig4, fig5, fig6, param-sweep"),
+                    err.contains(cmd) && err.contains("fig4, fig5, fig6, param-sweep, competitive"),
                     "{err}"
                 );
                 // The flag may come first.

@@ -107,6 +107,7 @@ impl<'a> From<Slot<'a>> for Field<'a> {
             Slot::U64(v) => Field::U64(v),
             Slot::Usize(v) => Field::Usize(v),
             Slot::F64(v) => Field::Exact(v),
+            Slot::Flag(v) => Field::Flag(v),
         }
     }
 }
@@ -618,15 +619,19 @@ mod tests {
                 stale_drops: u64::MAX - 3,
                 superseded_retries: 17,
             },
+            competitive: None,
         }
     }
 
     #[test]
     fn run_report_round_trips_bit_exact() {
-        // A real report from an actual run...
-        let real = by_name("small").unwrap().quick().run();
-        let back = decode_report(&encode_report(&real)).unwrap();
-        assert_eq!(real.first_difference(&back), None);
+        // Real reports from actual runs, with and without the §7 block...
+        for name in ["small", "golden_competitive_piggyback"] {
+            let real = by_name(name).unwrap().quick().run();
+            let back = decode_report(&encode_report(&real)).unwrap();
+            assert_eq!(real.first_difference(&back), None, "{name}");
+            assert_eq!(back.competitive.is_some(), name != "small");
+        }
         // ...and a synthetic one stuffed with every float pathology.
         let exotic = exotic_report();
         let back = decode_report(&encode_report(&exotic)).unwrap();
@@ -647,6 +652,12 @@ mod tests {
         let mut c = a.clone();
         c.faults.down_seconds = 0.0;
         assert_eq!(a.first_difference(&c), Some("fault_down_seconds"));
+        // A report with the §7 block differs from one without at the
+        // block's presence slot, in either order.
+        let mut d = a.clone();
+        d.competitive = Some(Box::default());
+        assert_eq!(a.first_difference(&d), Some("competitive"));
+        assert_eq!(d.first_difference(&a), Some("competitive"));
     }
 
     #[test]
@@ -711,6 +722,10 @@ mod tests {
         assert!(err.contains("updates_processed"), "{err}");
         let mangled = replace_field_value(&text, "refreshes_sent", "twelve");
         assert!(decode_report(&mangled).is_err());
+        // Once the §7 block is announced, every field of it is mandatory.
+        let text = encode_report(&by_name("competitive_medium").unwrap().quick().run());
+        let err = decode_report(&without_field(&text, "source_objective")).unwrap_err();
+        assert_eq!(err, "missing field `source_objective`");
     }
 
     /// Drops `key`'s line from an encoded key-value text.

@@ -172,7 +172,9 @@ impl Default for ScenarioSpec {
 
 /// A constructed, ready-to-run system (workload and config already
 /// lowered). Exists so harnesses can time exactly the event loop:
-/// everything before [`ReadySystem::run`] is construction.
+/// everything before [`ReadySystem::run`] is construction. Every kind
+/// finishes the same way, into one [`RunReport`] shape; only the §7
+/// system fills its [`RunReport::competitive`] block.
 pub enum ReadySystem {
     /// The pragmatic cooperative system.
     Coop(Box<CoopSystem>),
@@ -180,7 +182,7 @@ pub enum ReadySystem {
     Ideal(Box<IdealSystem>),
     /// A CGM baseline.
     Cgm(Box<CgmSystem>),
-    /// The §7 competitive system (reports its cache objective).
+    /// The §7 competitive system.
     Competitive(Box<CompetitiveSystem>),
 }
 
@@ -191,7 +193,7 @@ impl ReadySystem {
             ReadySystem::Coop(s) => s.run(),
             ReadySystem::Ideal(s) => s.run(),
             ReadySystem::Cgm(s) => s.run(),
-            ReadySystem::Competitive(s) => s.run_report(),
+            ReadySystem::Competitive(s) => s.run(),
         }
     }
 }
@@ -450,16 +452,24 @@ impl ScenarioSpec {
         }
     }
 
-    /// Whether the scenario's system can model its fault profile, asked
-    /// at the boundaries (the codec, the sweep runner) so that a spec
+    /// Whether the scenario's system can run it, asked at the boundaries
+    /// (the codec, the sweep runner) so that a spec
     /// [`build`](Self::build) would panic on is an error there instead.
     ///
     /// # Errors
     ///
-    /// The profile is invalid, or the system is an ideal or CGM scheduler
-    /// — which model refresh loss only — and the profile sets a field it
-    /// would have to ignore. The message names the kind and the field.
+    /// The system is competitive and the policy is not `area` (§7 derives
+    /// both priority views from the area tracker); or the fault profile
+    /// is invalid, or the system is an ideal or CGM scheduler — which
+    /// model refresh loss only — and the profile sets a field it would
+    /// have to ignore. The message names the kind and the field.
     pub fn check(&self) -> Result<(), String> {
+        if self.system == SystemKind::Competitive && self.policy != PolicyKind::Area {
+            return Err(format!(
+                "the competitive system needs `policy` area, not {}",
+                self.policy.name()
+            ));
+        }
         let Some(profile) = self.fault else {
             return Ok(());
         };
@@ -480,20 +490,15 @@ impl ScenarioSpec {
     ///
     /// Panics on a scenario [`check`](Self::check) refuses.
     pub fn build_from(&self, spec: WorkloadSpec) -> ReadySystem {
+        let mut cfg = self.system_config();
+        if self.policy == PolicyKind::Bound {
+            // Bound pricing needs per-object refresh-rate bounds; the
+            // workload's true rates are the natural seeded choice.
+            cfg.bound_rates = Some(spec.rates.clone());
+        }
         match self.system {
-            SystemKind::Coop => {
-                let mut cfg = self.system_config();
-                if matches!(self.policy, PolicyKind::Bound) {
-                    // Bound pricing needs per-object refresh-rate bounds;
-                    // the workload's true rates are the natural seeded
-                    // choice.
-                    cfg.bound_rates = Some(spec.rates.clone());
-                }
-                ReadySystem::Coop(Box::new(CoopSystem::new(cfg, spec)))
-            }
-            SystemKind::Ideal => {
-                ReadySystem::Ideal(Box::new(IdealSystem::new(self.system_config(), spec)))
-            }
+            SystemKind::Coop => ReadySystem::Coop(Box::new(CoopSystem::new(cfg, spec))),
+            SystemKind::Ideal => ReadySystem::Ideal(Box::new(IdealSystem::new(cfg, spec))),
             SystemKind::Cgm(_) => {
                 ReadySystem::Cgm(Box::new(CgmSystem::new(self.cgm_config(), spec)))
             }
@@ -504,7 +509,7 @@ impl ScenarioSpec {
                 let source_weights = conflicted_halves(&mut wl);
                 ReadySystem::Competitive(Box::new(CompetitiveSystem::new(
                     CompetitiveConfig {
-                        base: self.system_config(),
+                        base: cfg,
                         source_weights,
                         partition: BandwidthPartition::new(self.psi, self.share),
                     },
@@ -645,14 +650,17 @@ mod tests {
 
     #[test]
     fn bound_policy_gets_workload_rates() {
-        let spec = ScenarioSpec {
-            policy: PolicyKind::Bound,
-            ..tiny(SystemKind::Coop)
-        };
-        // Builds without panicking (CoopSystem requires bound_rates for
-        // the Bound policy) and produces a run.
-        let report = spec.run();
-        assert!(report.updates_processed > 0);
+        // Builds without panicking (the Bound policy requires bound_rates)
+        // and produces a run, for each kind that prices with a policy.
+        for system in [SystemKind::Coop, SystemKind::Ideal] {
+            let spec = ScenarioSpec {
+                policy: PolicyKind::Bound,
+                ..tiny(system)
+            };
+            spec.check().unwrap();
+            let report = spec.run();
+            assert!(report.updates_processed > 0, "{}", system.name());
+        }
     }
 
     #[test]

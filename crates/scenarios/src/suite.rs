@@ -396,9 +396,11 @@ fn cgm_bench(name: &str, variant: CgmVariant, seed: u64) -> ScenarioSpec {
         .finish()
 }
 
-/// The entries small enough for tier-1 to replay at native scale. Like
-/// every recorded trajectory, theirs must never move without an
-/// intentional, commit-annotated re-record.
+/// The entries small enough for tier-1 to replay at native scale, one or
+/// more per system kind: the §7 ones pin the sources' objective too,
+/// through the report's competitive block. Like every recorded
+/// trajectory, theirs must never move without an intentional,
+/// commit-annotated re-record.
 pub fn goldens() -> Vec<ScenarioSpec> {
     let ideal = |name: &str, seed: u64, metric, policy, estimator| {
         ScenarioSpec::builder(name)
@@ -428,6 +430,22 @@ pub fn goldens() -> Vec<ScenarioSpec> {
             .metric(Metric::Staleness)
             .bandwidth(25.0, 0.0)
             .window(50.0, 200.0)
+            .finish()
+    };
+    let competitive = |name: &str, seed: u64, psi: f64, share: SharePolicy| {
+        ScenarioSpec::builder(name)
+            .description(format!(
+                "§7 golden: conflicted halves, Ψ = {psi}, {share:?}"
+            ))
+            .seed(seed)
+            .objects(6, 12)
+            .rate_range(0.1, 0.8)
+            .weight_range(1.0, 1.0)
+            .fluctuating_weights(false)
+            .metric(Metric::Staleness)
+            .bandwidth(12.0, 5.0)
+            .window(30.0, 150.0)
+            .competitive(psi, share)
             .finish()
     };
     vec![
@@ -478,6 +496,24 @@ pub fn goldens() -> Vec<ScenarioSpec> {
         cgm("equiv_cgm_ideal", CgmVariant::IdealCacheBased, 61),
         cgm("equiv_cgm1", CgmVariant::Cgm1, 62),
         cgm("equiv_cgm2", CgmVariant::Cgm2, 63),
+        competitive(
+            "golden_competitive_equal_share",
+            71,
+            0.5,
+            SharePolicy::EqualShare,
+        ),
+        competitive(
+            "golden_competitive_piggyback",
+            72,
+            0.5,
+            SharePolicy::ProportionalToValue,
+        ),
+        competitive(
+            "golden_competitive_psi_zero",
+            73,
+            0.0,
+            SharePolicy::EqualShare,
+        ),
     ]
 }
 

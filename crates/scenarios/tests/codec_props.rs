@@ -9,10 +9,11 @@
 use std::convert::Infallible;
 
 use besync::fault::FaultProfile;
+use besync::priority::PolicyKind;
 use besync::report::Slot;
 use besync::RunReport;
 use besync_scenarios::codec::{decode, decode_report, encode, encode_report, walk_spec, Field};
-use besync_scenarios::ScenarioSpec;
+use besync_scenarios::{ScenarioSpec, SystemKind};
 use proptest::prelude::*;
 
 /// ASCII names without newlines (newlines are rejected by `encode` — a
@@ -49,7 +50,7 @@ fn any_f64() -> impl Strategy<Value = f64> {
 }
 
 /// Draws per generated value: more than any walk visits fields (a
-/// scenario presents at most 34, a report 32).
+/// scenario presents at most 34, a report 34).
 const DRAWS: std::ops::Range<usize> = 40..41;
 
 /// Random scenarios, filled through the codec's own field walk so a new
@@ -82,8 +83,12 @@ fn scenario() -> impl Strategy<Value = ScenarioSpec> {
             Ok(())
         });
         filled.expect("the filling visitor never fails");
-        // The codec refuses a profile the system kind cannot model; the
-        // loss-only schedulers keep just the loss.
+        // The codec refuses what the system kind cannot run: §7 prices by
+        // the area policy only, and the loss-only schedulers keep just
+        // the loss of a fault profile.
+        if spec.system == SystemKind::Competitive {
+            spec.policy = PolicyKind::Area;
+        }
         if let (Err(_), Some(profile)) = (spec.check(), spec.fault) {
             spec.fault = Some(FaultProfile {
                 loss_prob: profile.loss_prob,
@@ -107,6 +112,7 @@ fn report() -> impl Strategy<Value = RunReport> {
                 Slot::U64(v) => *v = int,
                 Slot::Usize(v) => *v = int as usize,
                 Slot::F64(v) => *v = float,
+                Slot::Flag(v) => *v = int % 2 == 1,
             }
             Ok::<(), Infallible>(())
         });

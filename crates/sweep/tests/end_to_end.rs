@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use besync::fault::FaultProfile;
+use besync::priority::PolicyKind;
 use besync_scenarios::{by_name, ScenarioSpec};
 use besync_sweep::{
     sweep, BackoffPolicy, Shards, SweepError, SweepOptions, SweepOutcome, SweepRun, WorkerSpawn,
@@ -128,27 +129,35 @@ fn sharded_outcomes_match_in_process_bit_for_bit() {
 #[test]
 fn a_spec_its_system_cannot_run_fails_the_sweep_before_anything_runs() {
     // CGM models refresh loss only and `build()` panics on an outage
-    // rate. In a worker that panic kills the compute loop under an I/O
-    // thread that keeps answering PINGs, so only 1 + `max_respawns` spec
-    // deadlines would end the wait: the refusal has to come first.
-    let mut bad = by_name("equiv_cgm1").unwrap();
-    bad.fault = Some(FaultProfile {
+    // rate; the competitive system panics on any policy but `area`. In a
+    // worker that panic kills the compute loop under an I/O thread that
+    // keeps answering PINGs, so only 1 + `max_respawns` spec deadlines
+    // would end the wait: the refusal has to come first.
+    let mut outage = by_name("equiv_cgm1").unwrap();
+    outage.fault = Some(FaultProfile {
         outage_rate: 0.01,
         outage_duration: 5.0,
         ..FaultProfile::default()
     });
-    let specs = [by_name("small").unwrap().quick(), bad];
+    let mut priced = by_name("golden_competitive_piggyback").unwrap();
+    priced.policy = PolicyKind::PoissonClosedForm;
     let start = Instant::now();
-    for opts in [SweepOptions::default(), sharded(1)] {
-        let refused = sweep(&specs, &opts).expect_err("an unrunnable spec was swept");
-        let SweepError::Encode { scenario, message } = &refused else {
-            panic!("expected a refused spec, got: {refused}");
-        };
-        assert_eq!(scenario, "equiv_cgm1");
-        assert!(
-            message.contains("CGM1") && message.contains("`outage_rate`"),
-            "{message}"
-        );
+    for (bad, kind, field) in [
+        (outage, "CGM1", "`outage_rate`"),
+        (priced, "competitive", "`policy`"),
+    ] {
+        let specs = [by_name("small").unwrap().quick(), bad];
+        for opts in [SweepOptions::default(), sharded(1)] {
+            let refused = sweep(&specs, &opts).expect_err("an unrunnable spec was swept");
+            let SweepError::Encode { scenario, message } = &refused else {
+                panic!("expected a refused spec, got: {refused}");
+            };
+            assert_eq!(scenario, &specs[1].name);
+            assert!(
+                message.contains(kind) && message.contains(field),
+                "{message}"
+            );
+        }
     }
     assert!(
         start.elapsed() < Duration::from_secs(1),

@@ -88,12 +88,13 @@ pub fn record(text: &str, run: Vec<Entry>) -> Result<String, String> {
     Ok(blocks.collect::<Vec<_>>().join("\n"))
 }
 
-/// The wire text of one report field.
+/// The wire text of one report field, `absent` for a presence flag that
+/// is spelled by omission.
 fn wire_value(report: &RunReport, key: &str) -> String {
     let text = codec::encode_report(report);
     let mut lines = text.lines();
     let value = lines.find_map(|line| line.strip_prefix(key)?.strip_prefix(' '));
-    value.unwrap_or("?").to_string()
+    value.unwrap_or("absent").to_string()
 }
 
 /// Every entry of this run must be recorded in `text` under the same

@@ -8,42 +8,12 @@
 //! cargo run --release --example competitive_cache
 //! ```
 
-use besync::cache::partition::{BandwidthPartition, SharePolicy};
-use besync::competitive::{CompetitiveConfig, CompetitiveSystem};
-use besync::config::SystemConfig;
-use besync_data::{Metric, WeightProfile};
-use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
-use besync_workloads::WorkloadSpec;
+use besync::cache::partition::SharePolicy;
+use besync_data::Metric;
+use besync_scenarios::ScenarioSpec;
 
 const SITES: u32 = 20;
 const PAGES: u32 = 10;
-
-/// Cache weights the first half of each site's pages (popular content);
-/// each site weights the second half (its promotions).
-fn conflicted(seed: u64) -> (WorkloadSpec, Vec<WeightProfile>) {
-    let mut spec = random_walk_poisson(
-        PoissonWorkloadOptions {
-            sources: SITES,
-            objects_per_source: PAGES,
-            rate_range: (0.05, 0.6),
-            weight_range: (1.0, 1.0),
-            fluctuating_weights: false,
-        },
-        seed,
-    );
-    let mut source_weights = Vec::new();
-    for obj in spec.layout.all_objects() {
-        let local = obj.0 % PAGES;
-        let (cache_w, source_w) = if local < PAGES / 2 {
-            (10.0, 1.0)
-        } else {
-            (1.0, 10.0)
-        };
-        spec.weights[obj.index()] = WeightProfile::constant(cache_w);
-        source_weights.push(WeightProfile::constant(source_w));
-    }
-    (spec, source_weights)
-}
 
 fn main() {
     println!("{SITES} sites × {PAGES} pages; cache and sites disagree on which half matters\n");
@@ -55,27 +25,29 @@ fn main() {
             (SharePolicy::ProportionalToObjects, "per-object"),
             (SharePolicy::ProportionalToValue, "piggyback"),
         ] {
-            let (spec, source_weights) = conflicted(3);
-            let base = SystemConfig {
-                metric: Metric::Staleness,
-                cache_bandwidth_mean: 0.25 * (SITES * PAGES) as f64,
-                source_bandwidth_mean: 5.0,
-                warmup: 80.0,
-                measure: 400.0,
-                ..SystemConfig::default()
-            };
-            let r = CompetitiveSystem::new(
-                CompetitiveConfig {
-                    base,
-                    source_weights,
-                    partition: BandwidthPartition::new(psi, policy),
-                },
-                spec,
-            )
-            .run();
+            // A competitive scenario weights the first half of each site's
+            // pages 10:1 for the cache (popular content) and the second
+            // half 10:1 for the site (its promotions).
+            let r = ScenarioSpec::builder("competitive_cache")
+                .seed(3)
+                .objects(SITES, PAGES)
+                .rate_range(0.05, 0.6)
+                .weight_range(1.0, 1.0)
+                .fluctuating_weights(false)
+                .metric(Metric::Staleness)
+                .bandwidth(0.25 * f64::from(SITES * PAGES), 5.0)
+                .window(80.0, 400.0)
+                .competitive(psi, policy)
+                .finish()
+                .run();
+            let sites = r.competitive.expect("a §7 run reports the sites' side");
             println!(
                 " {:>4.1}   {:<10}   {:>15.3}   {:>16.3}   {:>12}",
-                psi, name, r.cache_objective, r.source_objective, r.source_refreshes
+                psi,
+                name,
+                r.divergence.mean_weighted,
+                sites.source_objective,
+                sites.source_refreshes
             );
         }
     }

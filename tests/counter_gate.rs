@@ -2,10 +2,12 @@
 //!
 //! Every registry scenario at quick scale, and the `goldens()` — small
 //! enough to replay as registered — at their native scale too, must
-//! reproduce the recorded report on every walked field, bit for bit. A
-//! mismatch names the scenario and the wire key that moved. The
-//! release-mode `besync-bench --compare COUNTERS_baseline.txt` holds the
-//! 22 suite regimes to their full-scale entries the same way.
+//! reproduce the recorded report on every walked field, bit for bit,
+//! the §7 sources' objective included. A mismatch names the scenario and
+//! the wire key that moved. This is the only place a trajectory is
+//! pinned: there are no hand-typed golden constants. The release-mode
+//! `besync-bench --compare COUNTERS_baseline.txt` holds the 22 suite
+//! regimes to their full-scale entries the same way.
 //!
 //! A change that is *meant* to move a trajectory re-records, at both
 //! scales, and says so in its commit message:
@@ -64,7 +66,7 @@ fn the_registry_reproduces_the_record() {
 
 /// One digit of one entry, edited in a copy of the record, is a failure
 /// that names the scenario and the wire key: a suite regime at quick
-/// scale, a golden at its native scale.
+/// scale, a golden at its native scale, a §7 golden's source objective.
 #[test]
 fn one_edited_digit_is_refused_by_scenario_and_wire_key() {
     let (quick, native) = run();
@@ -88,4 +90,15 @@ fn one_edited_digit_is_refused_by_scenario_and_wire_key() {
     let complaint = compare(&golden, native, false).unwrap_err();
     assert_eq!(complaint, "`equiv_cgm1`: `polls_sent` was 3104, is 3103");
     compare(&golden, quick, true).expect("the quick entries were not edited");
+    let sources = edited(
+        "scenario golden_competitive_piggyback seed 72 quick false\n",
+        "\nsource_objective 2.780826431438486\n",
+        "\nsource_objective 2.780826431438487\n",
+    );
+    let complaint = compare(&sources, native, false).unwrap_err();
+    assert_eq!(
+        complaint,
+        "`golden_competitive_piggyback`: `source_objective` was 2.780826431438487, \
+         is 2.780826431438486"
+    );
 }

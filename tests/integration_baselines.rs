@@ -1,15 +1,12 @@
 //! Integration tests pitting the cooperative systems against the CGM
-//! baselines (the paper's §6.3 claims) and exercising the competitive
-//! extension (§7) end to end.
+//! baselines (the paper's §6.3 claims).
 
-use besync::cache::partition::{BandwidthPartition, SharePolicy};
-use besync::competitive::{CompetitiveConfig, CompetitiveSystem};
 use besync::config::SystemConfig;
 use besync::priority::{PolicyKind, RateEstimator};
 use besync::{CoopSystem, IdealSystem};
 use besync_baselines::freshness;
 use besync_baselines::{CgmConfig, CgmSystem, CgmVariant};
-use besync_data::{Metric, WeightProfile};
+use besync_data::Metric;
 use besync_workloads::generators::fig6_workload;
 
 fn coop_cfg(bandwidth: f64, policy: PolicyKind, estimator: RateEstimator) -> SystemConfig {
@@ -149,52 +146,4 @@ fn freshness_allocation_agrees_with_simulation() {
         (simulated - predicted_staleness).abs() < 0.08,
         "simulated {simulated} vs analytic {predicted_staleness}"
     );
-}
-
-#[test]
-fn competitive_psi_sweep_is_monotone_for_sources() {
-    let m = 6u32;
-    let n = 10u32;
-    let mut results = Vec::new();
-    for &psi in &[0.0, 0.3, 0.6] {
-        let mut spec = fig6_workload(m, n, 25);
-        let mut source_weights = Vec::new();
-        for obj in spec.layout.all_objects() {
-            let local = obj.0 % n;
-            let (cw, sw) = if local < n / 2 {
-                (10.0, 1.0)
-            } else {
-                (1.0, 10.0)
-            };
-            spec.weights[obj.index()] = WeightProfile::constant(cw);
-            source_weights.push(WeightProfile::constant(sw));
-        }
-        let base = SystemConfig {
-            metric: Metric::Staleness,
-            cache_bandwidth_mean: 0.25 * (m * n) as f64,
-            source_bandwidth_mean: 5.0,
-            warmup: 50.0,
-            measure: 300.0,
-            ..SystemConfig::default()
-        };
-        let r = CompetitiveSystem::new(
-            CompetitiveConfig {
-                base,
-                source_weights,
-                partition: BandwidthPartition::new(psi, SharePolicy::EqualShare),
-            },
-            spec,
-        )
-        .run();
-        results.push((psi, r));
-    }
-    // Source objective improves as Ψ grows.
-    assert!(
-        results[2].1.source_objective < results[0].1.source_objective,
-        "psi=0.6 source objective {} vs psi=0 {}",
-        results[2].1.source_objective,
-        results[0].1.source_objective
-    );
-    // And sources actually used their allocations.
-    assert!(results[2].1.source_refreshes > results[1].1.source_refreshes);
 }

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use besync_experiments::output::render_csv;
-use besync_experiments::{fig4, fig6, params, Mode};
+use besync_experiments::{competitive, fig4, fig6, params, Mode};
 use besync_sweep::{BackoffPolicy, Shards, SweepOptions, WorkerSpawn, FAULT_ENV};
 
 /// Locates the `experiments` binary next to this test executable
@@ -93,7 +93,8 @@ fn fig4_quick_grid_is_byte_identical_across_shard_counts() {
 fn fig6_and_param_sweep_quick_grids_are_byte_identical_sharded() {
     // fig6 exercises all five schedulers (incl. the CGM baselines and
     // their polls counter) through the worker pipe; the α/ω sweep
-    // exercises single-spec cells.
+    // exercises single-spec cells; the §7 grid carries the report's
+    // competitive block.
     let fig6_base =
         render_csv(&fig6::run_with(Mode::Quick, SEED, &opts(Shards::InProcess)).unwrap());
     let fig6_sharded =
@@ -105,6 +106,12 @@ fn fig6_and_param_sweep_quick_grids_are_byte_identical_sharded() {
     let params_sharded =
         render_csv(&params::run_with(Mode::Quick, SEED, &opts(Shards::Workers(2))).unwrap());
     assert_eq!(params_base, params_sharded);
+
+    let competitive_base =
+        render_csv(&competitive::run_with(Mode::Quick, SEED, &opts(Shards::InProcess)).unwrap());
+    let competitive_sharded =
+        render_csv(&competitive::run_with(Mode::Quick, SEED, &opts(Shards::Workers(2))).unwrap());
+    assert_eq!(competitive_base, competitive_sharded);
 }
 
 /// The wire text of the reports of the named suite regimes, at quick
