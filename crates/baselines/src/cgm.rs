@@ -18,7 +18,7 @@
 //! A small exploration floor keeps every object polled occasionally so a
 //! pessimistic early estimate cannot starve it forever (the original
 //! experiments re-tuned by repeated runs; the floor is our equivalent
-//! safeguard, recorded in DESIGN.md).
+//! safeguard).
 
 use std::collections::VecDeque;
 
@@ -406,6 +406,7 @@ impl Poller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::freshness;
     use besync_workloads::generators::fig6_workload;
 
     fn cfg(variant: CgmVariant, bandwidth: f64) -> CgmConfig {
@@ -501,5 +502,49 @@ mod tests {
         // 20 units/s ÷ 2 per poll = ≤10 polls/s on average (plus burst).
         let rate = r.polls_sent as f64 / horizon;
         assert!(rate <= 10.5, "poll rate {rate}");
+    }
+
+    #[test]
+    fn cgm_budget_is_respected() {
+        let bandwidth = 30.0;
+        for variant in [
+            CgmVariant::IdealCacheBased,
+            CgmVariant::Cgm1,
+            CgmVariant::Cgm2,
+        ] {
+            let c = CgmConfig {
+                warmup: 60.0,
+                measure: 300.0,
+                ..cfg(variant, bandwidth)
+            };
+            let horizon = c.horizon();
+            let r = CgmSystem::new(c, fig6_workload(10, 10, 23)).run();
+            let used = r.refreshes_sent as f64 * variant.cost_per_refresh();
+            assert!(
+                used <= bandwidth * horizon * 1.05 + 10.0,
+                "{}: used {used} units over {horizon}s at capacity {bandwidth}",
+                variant.name()
+            );
+        }
+    }
+
+    #[test]
+    fn freshness_allocation_agrees_with_simulation() {
+        // The analytic freshness model predicts simulated staleness well for
+        // the ideal cache-based scheduler: staleness ≈ 1 − mean freshness.
+        let spec = fig6_workload(10, 10, 24);
+        let bandwidth = 50.0;
+        let freqs = freshness::allocate(&spec.rates, bandwidth);
+        let predicted = 1.0 - freshness::total_freshness(&spec.rates, &freqs) / 100.0;
+        let c = CgmConfig {
+            warmup: 60.0,
+            measure: 600.0,
+            ..cfg(CgmVariant::IdealCacheBased, bandwidth)
+        };
+        let simulated = CgmSystem::new(c, spec).run().mean_divergence();
+        assert!(
+            (simulated - predicted).abs() < 0.08,
+            "simulated {simulated} vs analytic {predicted}"
+        );
     }
 }

@@ -71,11 +71,6 @@ impl CacheRuntime {
         self.thresholds[src.index()] = threshold;
     }
 
-    /// The cache's latest knowledge of a source's threshold.
-    pub fn known_threshold(&self, src: SourceId) -> f64 {
-        self.thresholds[src.index()]
-    }
-
     /// Picks up to `k` distinct sources to receive positive feedback,
     /// according to the targeting policy, appending them to `out` (which
     /// is cleared first). Taking a caller-owned buffer keeps the hot path

@@ -51,11 +51,12 @@ pub enum RecoveryPolicy {
     /// waits for each object's next natural update. The cache serves
     /// stale data and the accounting reports the divergence honestly.
     DegradeStale,
-    /// A source that loses a refresh re-quotes the object after
-    /// `deadline` seconds (if it has diverged again meanwhile), letting
-    /// the §8 priority scheme reschedule the send.
+    /// A lost refresh message is offered to the cache link again, as is,
+    /// once `deadline` seconds have passed. The resend pays for link
+    /// bandwidth like any refresh and can itself be lost; it is purged
+    /// instead if a newer snapshot has reached the cache meanwhile.
     Retransmit {
-        /// Seconds between a lost delivery and the retry quote.
+        /// Seconds between a lost delivery and the resend of its message.
         deadline: f64,
     },
     /// Cold-restart bulk resync: a restarted source immediately
@@ -358,12 +359,79 @@ impl EpisodeSchedule {
     }
 }
 
+/// One fault lane — the cache link's outages or one source's crashes —
+/// as an edge machine over its [`EpisodeSchedule`]: an episode's start,
+/// its end, the next episode's start, and so on.
+#[derive(Debug, Clone)]
+pub(crate) struct EpisodeLane {
+    sched: EpisodeSchedule,
+    /// The episode whose next edge is pending; its start has fired iff
+    /// `active`.
+    episode: Option<Episode>,
+    active: bool,
+    /// Divergence-integral probe of the lane's objects at episode start.
+    epoch_start: f64,
+}
+
+impl EpisodeLane {
+    /// Arms the lane with its schedule's first episode.
+    pub(crate) fn new(mut sched: EpisodeSchedule) -> Self {
+        let episode = sched.next_episode();
+        EpisodeLane {
+            sched,
+            episode,
+            active: false,
+            epoch_start: 0.0,
+        }
+    }
+
+    /// When the first edge fires: `None` if the schedule is empty.
+    pub(crate) fn first_start(&self) -> Option<f64> {
+        self.episode.map(|e| e.start)
+    }
+
+    /// Whether an episode is in progress.
+    #[inline]
+    pub(crate) fn active(&self) -> bool {
+        self.active
+    }
+
+    /// Fires the pending edge; `probe` is the divergence integral of the
+    /// lane's objects now. A start adds one to `count` and the episode's
+    /// seconds before `horizon` to `seconds`; an end adds the divergence
+    /// accrued since the start to `epoch_divergence`. Returns when the
+    /// lane's next edge fires.
+    pub(crate) fn fire(
+        &mut self,
+        probe: f64,
+        horizon: f64,
+        count: &mut u64,
+        seconds: &mut f64,
+        epoch_divergence: &mut f64,
+    ) -> Option<f64> {
+        self.active = !self.active;
+        if self.active {
+            let e = self
+                .episode
+                .expect("an episode start fired on an empty lane");
+            *count += 1;
+            *seconds += e.end.min(horizon) - e.start;
+            self.epoch_start = probe;
+            return Some(e.end);
+        }
+        *epoch_divergence += probe - self.epoch_start;
+        self.episode = self.sched.next_episode();
+        self.episode.map(|e| e.start)
+    }
+}
+
 /// Fault-layer activity of one run, all zero on the fault-free path.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultSummary {
     /// Refresh deliveries lost in transit.
     pub lost_refreshes: u64,
-    /// Retry quotes issued by the retransmit policy.
+    /// Lost refresh messages the retransmit policy offered to the cache
+    /// link again.
     pub retransmits: u64,
     /// Cache-link outage windows that started within the horizon.
     pub outages: u64,
@@ -397,18 +465,7 @@ pub struct FaultSummary {
 impl FaultSummary {
     /// Whether any fault activity was recorded.
     pub fn any(&self) -> bool {
-        self.lost_refreshes != 0
-            || self.retransmits != 0
-            || self.outages != 0
-            || self.dropped_in_outage != 0
-            || self.crashes != 0
-            || self.missed_updates != 0
-            || self.resync_quotes != 0
-            || self.stale_drops != 0
-            || self.superseded_retries != 0
-            || self.outage_seconds != 0.0
-            || self.down_seconds != 0.0
-            || self.epoch_divergence != 0.0
+        *self != FaultSummary::default()
     }
 }
 
@@ -571,6 +628,51 @@ mod tests {
         assert!(EpisodeSchedule::crashes(1, 0, &profile)
             .next_episode()
             .is_none());
+    }
+
+    #[test]
+    fn episode_lane_alternates_and_clips_at_the_horizon() {
+        let profile = FaultProfile {
+            outage_rate: 0.2,
+            outage_duration: 2.0,
+            ..FaultProfile::default()
+        };
+        let mut sched = EpisodeSchedule::outages(3, &profile);
+        let (first, second) = (sched.next_episode().unwrap(), sched.next_episode().unwrap());
+        let mut lane = EpisodeLane::new(EpisodeSchedule::outages(3, &profile));
+        assert_eq!(lane.first_start(), Some(first.start));
+        let (mut count, mut seconds, mut divergence) = (0, 0.0, 0.0);
+        let mut fire = |lane: &mut EpisodeLane, probe, horizon| {
+            let next = lane.fire(probe, horizon, &mut count, &mut seconds, &mut divergence);
+            (next, lane.active(), count, seconds, divergence)
+        };
+        // The horizon falls inside the first episode: only the seconds
+        // before it are charged, but the end still fires at the true end.
+        let horizon = (first.start + first.end) / 2.0;
+        let clipped = horizon - first.start;
+        assert_eq!(
+            fire(&mut lane, 1.5, horizon),
+            (Some(first.end), true, 1, clipped, 0.0)
+        );
+        assert_eq!(
+            fire(&mut lane, 4.0, horizon),
+            (Some(second.start), false, 1, clipped, 2.5)
+        );
+        // Well inside the horizon an episode is charged in full.
+        let full = second.end - second.start;
+        assert_eq!(
+            fire(&mut lane, 4.0, 1e9),
+            (Some(second.end), true, 2, clipped + full, 2.5)
+        );
+        // A zero-rate schedule never arms, for the link or a source.
+        let none = FaultProfile::default();
+        for sched in [
+            EpisodeSchedule::outages(3, &none),
+            EpisodeSchedule::crashes(3, 0, &none),
+        ] {
+            let idle = EpisodeLane::new(sched);
+            assert_eq!((idle.first_start(), idle.active()), (None, false));
+        }
     }
 
     #[test]

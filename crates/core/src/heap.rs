@@ -56,11 +56,6 @@ impl IndexedMaxHeap {
         }
     }
 
-    /// Number of items the heap covers.
-    pub fn items(&self) -> usize {
-        self.heap.items()
-    }
-
     /// Number of live entries (items with a current quote).
     pub fn live(&self) -> usize {
         self.heap.len()

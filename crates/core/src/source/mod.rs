@@ -11,6 +11,7 @@
 
 pub mod sampling;
 
+use besync_data::account::compressed_update_count;
 use besync_data::{Metric, ObjectId, SourceId, WeightProfile, WeightSet};
 use besync_net::Link;
 use besync_sim::SimTime;
@@ -31,9 +32,10 @@ use crate::threshold::{ThresholdParams, ThresholdState};
 /// contiguously measurably beats a struct-of-arrays split, which spreads
 /// every update over five lines. (The per-tick `requote_all` sweep still
 /// walks this array sequentially.) The update counters are `u32` — no
-/// bounded run applies 2³² updates to one object — which is what brought
-/// the record down from the old one-full-cache-line 64 bytes; at 10⁶
-/// objects per source shard that is 8 MB of hot state saved. Counter
+/// bounded run applies 2³² updates to one object, and one that did would
+/// panic rather than wrap — which is what brought the record down from
+/// the old one-full-cache-line 64 bytes; at 10⁶ objects per source shard
+/// that is 8 MB of hot state saved. Counter
 /// arithmetic is widened to `u64` before the metric or estimator sees
 /// it, so priorities are bit-identical to the wide layout.
 #[derive(Debug, Clone, Copy)]
@@ -357,7 +359,8 @@ impl SourceRuntime {
         let idx = local as usize;
         let st = &mut self.states[idx];
         st.value = new_value;
-        st.updates += 1;
+        st.updates =
+            compressed_update_count(u64::from(st.updates) + 1, ObjectId(self.base + local));
         let d = self.metric.divergence(
             st.value,
             st.updates as u64,
@@ -381,7 +384,8 @@ impl SourceRuntime {
         let idx = local as usize;
         let st = &mut self.states[idx];
         st.value = new_value;
-        st.updates += 1;
+        st.updates =
+            compressed_update_count(u64::from(st.updates) + 1, ObjectId(self.base + local));
         let d = self.metric.divergence(
             st.value,
             st.updates as u64,
@@ -505,6 +509,22 @@ mod tests {
         // priority at the instant of the first update: elapsed 1s at
         // divergence 0, then jumps to 3: (1)·3 − 0 = 3.
         assert!((p - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "update counter of O1 reached 4294967296")]
+    fn update_counter_cannot_wrap() {
+        let mut s = make_source(2, PolicyKind::Area);
+        s.states[1].updates = u32::MAX;
+        s.record_update(t(1.0), 1, 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "update counter of O1 reached 4294967296")]
+    fn unquoted_update_counter_cannot_wrap() {
+        let mut s = make_source(2, PolicyKind::Area);
+        s.states[1].updates = u32::MAX;
+        s.record_update_unquoted(t(1.0), 1, 3.0);
     }
 
     #[test]

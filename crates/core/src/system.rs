@@ -36,7 +36,7 @@ use besync_workloads::WorkloadSpec;
 use crate::cache::CacheRuntime;
 use crate::config::SystemConfig;
 use crate::fault::{
-    Episode, EpisodeSchedule, FaultProfile, FaultSummary, LossLane, RecoveryPolicy,
+    EpisodeLane, EpisodeSchedule, FaultProfile, FaultSummary, LossLane, RecoveryPolicy,
 };
 use crate::kernel::{Handler, Kernel};
 use crate::report::RunReport;
@@ -60,39 +60,21 @@ pub struct RefreshMsg {
 /// path takes no extra queue slots and draws no fault randomness, so it
 /// stays bit-identical to the pre-fault tree.
 ///
-/// Exact-time transitions ride the kernel's auxiliary slots: slot 0
-/// carries the shared-link outage window, slot `1 + j` source `j`'s
-/// crash episodes.
+/// Exact-time transitions ride the kernel's auxiliary slots, one
+/// episode lane per slot.
 struct FaultLayer {
     profile: FaultProfile,
     /// Counter-hashed per-delivery loss decisions.
     loss: LossLane,
-    /// Cache-link outage windows (lazily generated).
-    outages: EpisodeSchedule,
-    /// The window scheduled into the outage slot; its start has fired
-    /// iff `outage_active`.
-    outage: Option<Episode>,
-    outage_active: bool,
-    /// Divergence-integral probe taken at outage start.
-    outage_epoch_start: f64,
-    crash: Vec<CrashState>,
+    /// Episode lanes by auxiliary slot: [`OUTAGE_AUX`] is the shared
+    /// link's outage windows, `CRASH_AUX_BASE + j` source `j`'s crashes.
+    lanes: Vec<EpisodeLane>,
     /// Lost refreshes awaiting link-layer retransmission. The deadline
     /// is constant, so push order is due order.
     retries: VecDeque<(SimTime, RefreshMsg)>,
     /// Cumulative refreshes delivered per source — the ack counters the
     /// cache piggybacks on §5 feedback when the profile is fault-aware.
     delivered_per_source: Vec<u64>,
-}
-
-/// Crash/restart state of one source.
-struct CrashState {
-    sched: EpisodeSchedule,
-    /// The episode scheduled into this source's crash slot; its start
-    /// has fired iff `down`.
-    episode: Option<Episode>,
-    down: bool,
-    /// Divergence-integral probe of this source's objects at crash time.
-    epoch_start: f64,
 }
 
 /// The points where §7's competitive scheme departs from the §5
@@ -214,36 +196,23 @@ impl<X: Extension> System<X> {
         let m = layout.sources();
         let faults = cfg.fault.map(|profile| {
             profile.validate().expect("invalid fault profile");
-            let crash = (0..m)
-                .map(|sid| {
-                    let mut sched = EpisodeSchedule::crashes(cfg.sim_seed, sid, &profile);
-                    let episode = sched.next_episode();
-                    CrashState {
-                        sched,
-                        episode,
-                        down: false,
-                        epoch_start: 0.0,
-                    }
-                })
-                .collect();
-            let mut outages = EpisodeSchedule::outages(cfg.sim_seed, &profile);
-            let outage = outages.next_episode();
+            let outages = EpisodeSchedule::outages(cfg.sim_seed, &profile);
+            let crashes = (0..m).map(|sid| EpisodeSchedule::crashes(cfg.sim_seed, sid, &profile));
             FaultLayer {
                 loss: LossLane::new(cfg.sim_seed, 0, profile.loss_prob),
                 profile,
-                outages,
-                outage,
-                outage_active: false,
-                outage_epoch_start: 0.0,
-                crash,
+                lanes: std::iter::once(outages)
+                    .chain(crashes)
+                    .map(EpisodeLane::new)
+                    .collect(),
                 retries: VecDeque::new(),
                 delivered_per_source: vec![0; m as usize],
             }
         });
-        // A fault profile needs exact-time transitions: one slot for the
-        // shared-link outage window plus one crash slot per source. With
-        // no profile the queue is constructed exactly as before.
-        let aux_slots = faults.as_ref().map_or(0, |_| 1 + m as usize);
+        // A fault profile needs exact-time transitions: one slot per
+        // episode lane. With no profile the queue is constructed exactly
+        // as before.
+        let aux_slots = faults.as_ref().map_or(0, |fl| fl.lanes.len());
         let mut kernel = Kernel::new(
             cfg.metric,
             cfg.tick,
@@ -298,12 +267,9 @@ impl<X: Extension> System<X> {
                     s.enable_delivery_estimator(cfg.sim_seed);
                 }
             }
-            if let Some(e) = fl.outage {
-                kernel.schedule_aux(OUTAGE_AUX, SimTime::new(e.start));
-            }
-            for (sid, cs) in fl.crash.iter().enumerate() {
-                if let Some(e) = cs.episode {
-                    kernel.schedule_aux(CRASH_AUX_BASE + sid as u32, SimTime::new(e.start));
+            for (aux, lane) in fl.lanes.iter().enumerate() {
+                if let Some(start) = lane.first_start() {
+                    kernel.schedule_aux(aux as u32, SimTime::new(start));
                 }
             }
         }
@@ -379,7 +345,7 @@ impl<X: Extension> System<X> {
     }
 }
 
-/// Auxiliary slot carrying outage start/end transitions.
+/// Auxiliary slot carrying the shared link's outage start/end edges.
 const OUTAGE_AUX: u32 = 0;
 /// First per-source crash slot.
 const CRASH_AUX_BASE: u32 = 1;
@@ -459,11 +425,53 @@ impl<X: Extension> Handler for Protocol<X> {
     }
 
     /// Fault transitions; the slots only exist when a profile is set.
+    /// After the bookkeeping every edge shares, each applies its own
+    /// effect on the link or the source.
     fn on_aux(&mut self, k: &mut Kernel, now: SimTime, aux: u32) {
+        let started = self.episode_edge(k, now, aux);
+        let fl = self
+            .faults
+            .as_mut()
+            .expect("fault edge without a fault layer");
+        let profile = fl.profile;
         if aux == OUTAGE_AUX {
-            self.on_outage_transition(k, now);
-        } else {
-            self.on_crash_transition(k, now, (aux - CRASH_AUX_BASE) as usize);
+            if started {
+                // Bank credit and suspend accrual. The drop policy applies
+                // to the retry side-queue too — retries must not ride out
+                // an outage that drops fresh traffic.
+                self.cache_link.suspend(now);
+                if profile.outage_drops_queue {
+                    self.fault_stats.dropped_in_outage += self.cache_link.drop_queue() as u64;
+                    self.fault_stats.dropped_in_outage += fl.retries.len() as u64;
+                    fl.retries.clear();
+                }
+            } else {
+                self.cache_link.resume(now);
+                if profile.aware {
+                    // Fault-aware resume: merge due retries into the held
+                    // backlog, then replay the §8 economics over the whole
+                    // queue — highest weighted divergence first — instead
+                    // of FIFO-draining a backlog whose order reflects
+                    // pre-outage priorities.
+                    self.process_retries(k, now);
+                    self.reorder_held_queue(&k.truth, now);
+                }
+            }
+            return;
+        }
+        let sid = (aux - CRASH_AUX_BASE) as usize;
+        if started {
+            // The sync agent loses its heap and goes silent.
+            self.sources[sid].saturated = false;
+            self.sources[sid].clear_quotes();
+            self.ext.at_crash(sid);
+        } else if matches!(profile.recovery, RecoveryPolicy::Resync) {
+            // Cold-restart bulk resync: re-quote every diverged object
+            // and let the catch-up burst compete for bandwidth under the
+            // ordinary §8 priority scheme.
+            self.sources[sid].requote_all(now);
+            self.fault_stats.resync_quotes += self.sources[sid].heap.raw_len() as u64;
+            self.attempt_sends(k, now, sid);
         }
     }
 }
@@ -473,9 +481,40 @@ impl<X: Extension> Protocol<X> {
     #[inline]
     pub(crate) fn source_down(&self, sid: usize) -> bool {
         match &self.faults {
-            Some(fl) => fl.crash[sid].down,
+            Some(fl) => fl.lanes[CRASH_AUX_BASE as usize + sid].active(),
             None => false,
         }
+    }
+
+    /// Fires lane `aux`'s pending edge with the bookkeeping the link lane
+    /// and the source lanes share — the episode count and seconds, the
+    /// divergence its objects accrued ([`EpisodeLane::fire`]) — and
+    /// schedules the lane's next edge. Returns whether an episode started.
+    fn episode_edge(&mut self, k: &mut Kernel, now: SimTime, aux: u32) -> bool {
+        let (lo, hi) = if aux == OUTAGE_AUX {
+            (0, k.truth.len())
+        } else {
+            let per_source = self.layout.objects_per_source() as usize;
+            let sid = (aux - CRASH_AUX_BASE) as usize;
+            (sid * per_source, (sid + 1) * per_source)
+        };
+        let probe = k.truth.divergence_integral_range(now, lo, hi);
+        let fl = self
+            .faults
+            .as_mut()
+            .expect("fault edge without a fault layer");
+        let s = &mut self.fault_stats;
+        let (count, seconds) = if aux == OUTAGE_AUX {
+            (&mut s.outages, &mut s.outage_seconds)
+        } else {
+            (&mut s.crashes, &mut s.down_seconds)
+        };
+        let lane = &mut fl.lanes[aux as usize];
+        let horizon = self.cfg.horizon();
+        if let Some(t) = lane.fire(probe, horizon, count, seconds, &mut s.epoch_divergence) {
+            k.schedule_aux(aux, SimTime::new(t));
+        }
+        lane.active()
     }
 
     /// Sends from source `sid` while (a) an over-threshold candidate
@@ -652,49 +691,6 @@ impl<X: Extension> Protocol<X> {
         u64::from(source.state(local).updates) > msg.snapshot.updates
     }
 
-    /// Outage start: bank credit, suspend accrual, apply the queue
-    /// policy. Outage end: resume and attribute the epoch's divergence.
-    fn on_outage_transition(&mut self, k: &mut Kernel, now: SimTime) {
-        let horizon = self.cfg.horizon();
-        let objects = k.truth.len();
-        let fl = self.faults.as_mut().expect("outage without fault layer");
-        if !fl.outage_active {
-            let e = fl.outage.expect("outage start fired without a window");
-            fl.outage_active = true;
-            self.fault_stats.outages += 1;
-            self.fault_stats.outage_seconds += e.end.min(horizon) - e.start;
-            self.cache_link.suspend(now);
-            if fl.profile.outage_drops_queue {
-                self.fault_stats.dropped_in_outage += self.cache_link.drop_queue() as u64;
-                // The drop policy applies to the retry side-queue too —
-                // retries must not ride out an outage that drops fresh
-                // traffic.
-                self.fault_stats.dropped_in_outage += fl.retries.len() as u64;
-                fl.retries.clear();
-            }
-            fl.outage_epoch_start = k.truth.divergence_integral_range(now, 0, objects);
-            k.schedule_aux(OUTAGE_AUX, SimTime::new(e.end));
-        } else {
-            fl.outage_active = false;
-            self.cache_link.resume(now);
-            self.fault_stats.epoch_divergence +=
-                k.truth.divergence_integral_range(now, 0, objects) - fl.outage_epoch_start;
-            fl.outage = fl.outages.next_episode();
-            if let Some(e) = fl.outage {
-                k.schedule_aux(OUTAGE_AUX, SimTime::new(e.start));
-            }
-            if fl.profile.aware {
-                // Fault-aware resume: merge due retries into the held
-                // backlog, then replay the §8 economics over the whole
-                // queue — highest weighted divergence first — instead of
-                // FIFO-draining a backlog whose order reflects pre-outage
-                // priorities.
-                self.process_retries(k, now);
-                self.reorder_held_queue(&k.truth, now);
-            }
-        }
-    }
-
     /// Reorders the cache-link backlog by the divergence a delivery
     /// would resolve (`weight × divergence(snapshot, cached)`), the
     /// cache-side analogue of the §8 priority a send was quoted under.
@@ -710,45 +706,6 @@ impl<X: Extension> Protocol<X> {
             );
             truth.weight_at(msg.obj, now) * gain
         });
-    }
-
-    /// Crash start: the sync agent loses its heap and goes silent.
-    /// Restart: attribute the epoch's divergence and run the recovery
-    /// policy (resync re-quotes everything and bursts catch-up sends).
-    fn on_crash_transition(&mut self, k: &mut Kernel, now: SimTime, sid: usize) {
-        let horizon = self.cfg.horizon();
-        let per_source = self.layout.objects_per_source() as usize;
-        let (lo, hi) = (sid * per_source, (sid + 1) * per_source);
-        let fl = self.faults.as_mut().expect("crash without fault layer");
-        let slot = CRASH_AUX_BASE + sid as u32;
-        let cs = &mut fl.crash[sid];
-        if !cs.down {
-            let e = cs.episode.expect("crash start fired without an episode");
-            cs.down = true;
-            self.fault_stats.crashes += 1;
-            self.fault_stats.down_seconds += e.end.min(horizon) - e.start;
-            cs.epoch_start = k.truth.divergence_integral_range(now, lo, hi);
-            self.sources[sid].saturated = false;
-            self.sources[sid].clear_quotes();
-            self.ext.at_crash(sid);
-            k.schedule_aux(slot, SimTime::new(e.end));
-            return;
-        }
-        cs.down = false;
-        self.fault_stats.epoch_divergence +=
-            k.truth.divergence_integral_range(now, lo, hi) - cs.epoch_start;
-        cs.episode = cs.sched.next_episode();
-        if let Some(e) = cs.episode {
-            k.schedule_aux(slot, SimTime::new(e.start));
-        }
-        if matches!(fl.profile.recovery, RecoveryPolicy::Resync) {
-            // Cold-restart bulk resync: re-quote every diverged object
-            // and let the catch-up burst compete for bandwidth under
-            // the ordinary §8 priority scheme.
-            self.sources[sid].requote_all(now);
-            self.fault_stats.resync_quotes += self.sources[sid].heap.raw_len() as u64;
-            self.attempt_sends(k, now, sid);
-        }
     }
 
     fn deliver(&mut self, k: &mut Kernel, now: SimTime, msg: RefreshMsg) {
@@ -780,20 +737,26 @@ impl<X: Extension> Protocol<X> {
 mod tests {
     use super::*;
     use crate::priority::PolicyKind;
-    use besync_data::Metric;
+    use besync_data::{Metric, WeightProfile};
     use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
 
-    fn small_spec(seed: u64) -> WorkloadSpec {
+    /// `sources × n` random-walk objects with unit weights and update
+    /// rates drawn from `[0.05, max_rate]`.
+    fn poisson(sources: u32, n: u32, max_rate: f64, seed: u64) -> WorkloadSpec {
         random_walk_poisson(
             PoissonWorkloadOptions {
-                sources: 4,
-                objects_per_source: 5,
-                rate_range: (0.05, 0.5),
+                sources,
+                objects_per_source: n,
+                rate_range: (0.05, max_rate),
                 weight_range: (1.0, 1.0),
                 fluctuating_weights: false,
             },
             seed,
         )
+    }
+
+    fn small_spec(seed: u64) -> WorkloadSpec {
+        poisson(4, 5, 0.5, seed)
     }
 
     fn quick_cfg() -> SystemConfig {
@@ -807,23 +770,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn runs_and_reports() {
-        let report = CoopSystem::new(quick_cfg(), small_spec(1)).run();
-        assert!(report.updates_processed > 0);
-        assert!(report.refreshes_sent > 0);
-        assert!(report.refreshes_delivered <= report.refreshes_sent);
-        assert!(report.mean_divergence() >= 0.0);
-        assert!(report.mean_divergence() <= 1.0); // staleness is 0/1
-    }
-
-    #[test]
-    fn deterministic_given_seeds() {
-        let a = CoopSystem::new(quick_cfg(), small_spec(7)).run();
-        let b = CoopSystem::new(quick_cfg(), small_spec(7)).run();
-        assert_eq!(a.mean_divergence(), b.mean_divergence());
-        assert_eq!(a.refreshes_sent, b.refreshes_sent);
-        assert_eq!(a.feedback_messages, b.feedback_messages);
+    /// A 350-second staleness run at the given link bandwidths.
+    fn long_cfg(cache_bandwidth_mean: f64, source_bandwidth_mean: f64) -> SystemConfig {
+        SystemConfig {
+            cache_bandwidth_mean,
+            source_bandwidth_mean,
+            warmup: 50.0,
+            measure: 300.0,
+            ..quick_cfg()
+        }
     }
 
     #[test]
@@ -870,14 +825,7 @@ mod tests {
         // Starve the cache massively; the positive-feedback design must
         // keep the queue bounded (thresholds rise in the absence of
         // feedback).
-        let cfg = SystemConfig {
-            cache_bandwidth_mean: 0.5,
-            source_bandwidth_mean: 50.0,
-            warmup: 50.0,
-            measure: 300.0,
-            ..quick_cfg()
-        };
-        let report = CoopSystem::new(cfg, small_spec(4)).run();
+        let report = CoopSystem::new(long_cfg(0.5, 50.0), small_spec(4)).run();
         assert!(
             report.max_cache_queue < 100,
             "cache queue peaked at {}",
@@ -904,6 +852,47 @@ mod tests {
                 assert!(report.mean_divergence().is_finite());
             }
         }
+    }
+
+    #[test]
+    fn weighted_objects_get_preferential_treatment() {
+        // Two halves with equal rates but 10× weights: the heavy half must
+        // end up fresher.
+        let mut spec = poisson(2, 20, 0.8, 7);
+        for obj in spec.layout.all_objects() {
+            let w = if obj.0 % 2 == 0 { 10.0 } else { 1.0 };
+            spec.weights[obj.index()] = WeightProfile::constant(w);
+        }
+        // Scarce bandwidth: choices matter.
+        let report = CoopSystem::new(long_cfg(4.0, 2.0), spec).run();
+        // Under weight-blind treatment staleness is independent of weight,
+        // so the weighted mean would be E[w] = 5.5 times the unweighted one.
+        let uniform_treatment = 5.5 * report.divergence.mean_unweighted;
+        assert!(
+            report.divergence.mean_weighted < uniform_treatment,
+            "weighted {} vs uniform-treatment bound {uniform_treatment}",
+            report.divergence.mean_weighted,
+        );
+    }
+
+    #[test]
+    fn fluctuating_bandwidth_is_tracked() {
+        let run = |bandwidth_change_rate| {
+            let cfg = SystemConfig {
+                bandwidth_change_rate,
+                ..long_cfg(15.0, 8.0)
+            };
+            CoopSystem::new(cfg, poisson(5, 10, 0.8, 6)).run()
+        };
+        let (fluct, fixed) = (run(0.25), run(0.0));
+        // Adaptivity: fluctuation may cost something but must not break
+        // the system (divergence within 3× of the fixed-bandwidth run).
+        assert!(
+            fluct.mean_divergence() <= (fixed.mean_divergence() * 3.0).max(0.15),
+            "fluctuating {} vs fixed {}",
+            fluct.mean_divergence(),
+            fixed.mean_divergence()
+        );
     }
 
     fn faulty_cfg(fault: FaultProfile) -> SystemConfig {
@@ -1170,25 +1159,5 @@ mod tests {
         );
         assert_eq!(plain.refreshes_sent, idle.refreshes_sent);
         assert!(!idle.faults.any());
-    }
-
-    #[test]
-    fn none_profile_is_bit_identical_to_fault_free() {
-        let plain = CoopSystem::new(quick_cfg(), small_spec(16)).run();
-        let gated = CoopSystem::new(
-            SystemConfig {
-                fault: None,
-                ..quick_cfg()
-            },
-            small_spec(16),
-        )
-        .run();
-        assert_eq!(
-            plain.mean_divergence().to_bits(),
-            gated.mean_divergence().to_bits()
-        );
-        assert_eq!(plain.refreshes_sent, gated.refreshes_sent);
-        assert_eq!(plain.feedback_messages, gated.feedback_messages);
-        assert!(!gated.faults.any());
     }
 }

@@ -90,8 +90,9 @@ impl ObjectTruth {
 ///
 /// The update counters are `u32` in the hot record (the public
 /// [`ObjectTruth`] stays `u64`): no bounded run applies 2³² updates to a
-/// single object, and halving the counter bytes is what shrinks the
-/// record from the old one-full-cache-line 64 bytes to 48 — at 10⁶
+/// single object (one that did would panic, see
+/// [`compressed_update_count`]), and halving the counter bytes is what
+/// shrinks the record from the old one-full-cache-line 64 bytes to 48 — at 10⁶
 /// objects that is 16 MB of hot working set saved, the difference
 /// between thrashing and fitting a realistic L3. Counter arithmetic is
 /// widened to `u64` before the metric sees it, so divergence values are
@@ -113,6 +114,30 @@ struct HotAccount {
 // The whole point of the hot split: minimal, line-friendly records.
 const _: () = assert!(std::mem::size_of::<HotAccount>() == 48);
 const _: () = assert!(std::mem::align_of::<HotAccount>() == 16);
+
+/// Object `obj`'s update count `count` as the `u32` the hot records
+/// keep it in.
+///
+/// # Panics
+///
+/// Panics, naming the object, if `count` exceeds `u32::MAX` — in release
+/// builds too. A wrapped counter would corrupt every count-based metric,
+/// and a saturated one would freeze the lag metric silently.
+#[inline]
+pub fn compressed_update_count(count: u64, obj: ObjectId) -> u32 {
+    match u32::try_from(count) {
+        Ok(c) => c,
+        Err(_) => update_count_overflow(count, obj),
+    }
+}
+
+// Out of line, so the per-update hot path carries one compare and a
+// call, not the formatting.
+#[cold]
+#[inline(never)]
+fn update_count_overflow(count: u64, obj: ObjectId) -> ! {
+    panic!("update counter of {obj} reached {count}, past the compressed u32 range")
+}
 
 impl HotAccount {
     fn synced(value: f64, t0: SimTime) -> Self {
@@ -223,11 +248,6 @@ impl TruthTable {
         self.weights.weight_at(obj.index(), t)
     }
 
-    /// The weight profile of `obj`.
-    pub fn weight_profile(&self, obj: ObjectId) -> &WeightProfile {
-        self.weights.profile(obj.index())
-    }
-
     /// Current divergence of `obj`.
     ///
     /// Recomputed from the truth rather than read from the hot record:
@@ -268,7 +288,7 @@ impl TruthTable {
         let weight = self.weights.weight_at(idx, t);
         let hot = &mut self.hot[idx];
         hot.source_value = new_value;
-        hot.source_updates += 1;
+        hot.source_updates = compressed_update_count(u64::from(hot.source_updates) + 1, obj);
         let d = self.metric.divergence(
             hot.source_value,
             hot.source_updates as u64,
@@ -296,12 +316,8 @@ impl TruthTable {
         let idx = obj.index();
         let weight = self.weights.weight_at(idx, t);
         let hot = &mut self.hot[idx];
-        debug_assert!(
-            snapshot_updates <= u32::MAX as u64,
-            "snapshot update counter exceeds the compressed hot-record range"
-        );
         hot.cached_value = snapshot_value;
-        hot.cached_updates = snapshot_updates as u32;
+        hot.cached_updates = compressed_update_count(snapshot_updates, obj);
         let d = self.metric.divergence(
             hot.source_value,
             hot.source_updates as u64,
@@ -432,6 +448,21 @@ mod tests {
         // stale 4s of a 10s window → 0.4
         assert!((r.mean_unweighted - 0.4).abs() < 1e-12);
         assert_eq!(r.refreshes_applied, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "update counter of O1 reached 4294967296")]
+    fn source_update_counter_cannot_wrap() {
+        let mut table = TruthTable::with_unit_weights(Metric::Lag, &[0.0, 0.0]);
+        table.hot[1].source_updates = u32::MAX;
+        table.source_update(t(1.0), ObjectId(1), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "update counter of O1 reached 4294967296")]
+    fn refresh_counter_cannot_be_truncated() {
+        let mut table = TruthTable::with_unit_weights(Metric::Lag, &[0.0, 0.0]);
+        table.apply_refresh(t(1.0), ObjectId(1), 0.0, u64::from(u32::MAX) + 1);
     }
 
     #[test]

@@ -77,16 +77,6 @@ impl WeightProfile {
     pub fn mean(&self) -> f64 {
         self.importance.mean() * self.popularity.mean()
     }
-
-    /// The importance wave.
-    pub fn importance(&self) -> Wave {
-        self.importance
-    }
-
-    /// The popularity wave.
-    pub fn popularity(&self) -> Wave {
-        self.popularity
-    }
 }
 
 impl Default for WeightProfile {
@@ -149,11 +139,6 @@ impl WeightSet {
     /// The full profile of object `idx`.
     pub fn profile(&self, idx: usize) -> &WeightProfile {
         &self.profiles[idx]
-    }
-
-    /// All profiles, in object order.
-    pub fn profiles(&self) -> &[WeightProfile] {
-        &self.profiles
     }
 }
 

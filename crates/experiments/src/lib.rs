@@ -1,12 +1,12 @@
 //! Experiment harness: regenerates every table and figure in the paper's
-//! evaluation (see DESIGN.md for the experiment index).
+//! evaluation; `experiments --help` lists them.
 //!
 //! Each module owns one experiment and produces typed rows; the
 //! `experiments` binary prints them as aligned tables and writes CSV under
 //! `results/`. All experiments accept a [`Mode`]:
 //!
 //! * `Quick` — CI-scale (seconds), same qualitative shapes.
-//! * `Standard` — the default used to fill EXPERIMENTS.md (minutes).
+//! * `Standard` — the default scale (minutes).
 //! * `Full` — the paper's own grid sizes (can take hours).
 //!
 //! Determinism: every run derives from an explicit seed, so tables are
@@ -31,9 +31,9 @@ pub mod validate;
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Seconds; used by integration tests.
+    /// Seconds; used by the tests.
     Quick,
-    /// Minutes; the EXPERIMENTS.md reference scale.
+    /// Minutes; the default scale.
     Standard,
     /// Paper-scale grids.
     Full,

@@ -175,4 +175,36 @@ mod tests {
         let max = rows.iter().map(|r| r.divergence).fold(0.0, f64::max);
         assert!(max > min * 1.02, "sweep flat: {min}..{max}");
     }
+
+    #[test]
+    fn param_sweep_paper_setting_is_competitive() {
+        // The paper's claim is robustness, not a sharp optimum: α=1.1, ω=10
+        // must be within a whisker of the best cell, and the aggressive
+        // corner (large α with small ω) must be clearly worse.
+        let rows = run(Mode::Quick, 105);
+        let best = rows
+            .iter()
+            .map(|r| r.divergence)
+            .fold(f64::INFINITY, f64::min);
+        let paper = rows
+            .iter()
+            .find(|r| r.alpha == 1.1 && r.omega == 10.0)
+            .expect("grid includes the paper's setting");
+        assert!(
+            paper.divergence <= best * 1.15,
+            "paper setting {} vs best {best}",
+            paper.divergence
+        );
+        let worst = rows
+            .iter()
+            .max_by(|a, b| a.divergence.total_cmp(&b.divergence))
+            .unwrap();
+        assert!(
+            worst.alpha >= 1.5 || worst.omega <= 2.0,
+            "worst cell should be an aggressive corner, got α={} ω={}",
+            worst.alpha,
+            worst.omega
+        );
+        assert!(worst.divergence > best);
+    }
 }

@@ -80,18 +80,6 @@ impl<M> Link<M> {
         }
     }
 
-    /// The link's capacity signal.
-    pub fn capacity(&self) -> Wave {
-        self.capacity
-    }
-
-    /// Replaces the capacity signal (used by experiments that change
-    /// regimes mid-run). Credit already accrued is kept.
-    pub fn set_capacity(&mut self, now: SimTime, capacity: Wave) {
-        self.accrue(now);
-        self.capacity = capacity;
-    }
-
     fn accrue(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_accrual, "link time went backwards");
         if now > self.last_accrual {

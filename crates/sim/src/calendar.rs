@@ -156,11 +156,6 @@ impl CalendarQueue {
         self.resizes
     }
 
-    /// Current number of buckets (a power of two).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len

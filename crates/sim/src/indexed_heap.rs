@@ -62,11 +62,6 @@ impl<K: HeapKey> IndexedHeap<K> {
         }
     }
 
-    /// Number of items the heap covers.
-    pub fn items(&self) -> usize {
-        self.pos.len()
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.heap.len()

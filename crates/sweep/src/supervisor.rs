@@ -97,6 +97,11 @@ fn run_in_process<'a>(specs: impl Iterator<Item = &'a ScenarioSpec>) -> Vec<Swee
 /// `WINDOW` specs and slow workers can't hoard the queue.
 const WINDOW: usize = 2;
 
+/// How long a fault waits for a killed worker's stderr to drain into its
+/// tail. The reaped process has closed the pipe, so this is normally
+/// immediate; the bound only matters if something else still holds it.
+const STDERR_DRAIN_LIMIT: Duration = Duration::from_secs(2);
+
 /// Channel traffic from reader threads to the supervisor loop: one
 /// reply line from worker `slot`'s incarnation `incarnation`, or `None`
 /// when its reply stream closed (crash, or clean exit at shutdown).
@@ -594,7 +599,7 @@ impl Supervisor<'_> {
         for &seq in lost.iter().rev() {
             self.pending.push_front(seq);
         }
-        let (faults, tail) = (s.faults, s.stderr.snapshot());
+        let (faults, tail) = (s.faults, s.stderr.final_snapshot(STDERR_DRAIN_LIMIT));
         eprintln!("sweep: worker slot {slot} fault #{faults}: {reason}");
         for line in &tail {
             eprintln!("sweep: worker slot {slot} stderr| {line}");

@@ -13,7 +13,8 @@
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::process::{Child, ChildStderr, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// One live worker: the child process and the pipe its requests go
 /// down. All methods are callable after the worker died — they report
@@ -95,7 +96,14 @@ const STDERR_LINE_CAP: usize = 400;
 /// just "exited early".
 #[derive(Clone)]
 pub struct StderrTail {
-    lines: Arc<Mutex<VecDeque<String>>>,
+    shared: Arc<(Mutex<TailState>, Condvar)>,
+}
+
+#[derive(Default)]
+struct TailState {
+    lines: VecDeque<String>,
+    /// The stream has ended: every line the worker wrote is in `lines`.
+    closed: bool,
 }
 
 impl StderrTail {
@@ -104,10 +112,11 @@ impl StderrTail {
     /// so it never blocks supervisor shutdown.
     pub fn tail(stream: impl Read + Send + 'static) -> StderrTail {
         let tail = StderrTail {
-            lines: Arc::new(Mutex::new(VecDeque::new())),
+            shared: Arc::default(),
         };
-        let lines = Arc::clone(&tail.lines);
+        let shared = Arc::clone(&tail.shared);
         std::thread::spawn(move || {
+            let (state, ended) = &*shared;
             let reader = BufReader::new(stream);
             for line in reader.split(b'\n') {
                 let Ok(raw) = line else { break };
@@ -120,25 +129,39 @@ impl StderrTail {
                     text.truncate(cut);
                     text.push('…');
                 }
-                let mut buf = lines.lock().unwrap_or_else(|e| e.into_inner());
-                if buf.len() == STDERR_TAIL_LINES {
-                    buf.pop_front();
+                let mut buf = lock(state);
+                if buf.lines.len() == STDERR_TAIL_LINES {
+                    buf.lines.pop_front();
                 }
-                buf.push_back(text);
+                buf.lines.push_back(text);
             }
+            lock(state).closed = true;
+            ended.notify_all();
         });
         tail
     }
 
     /// The current tail, oldest line first.
     pub fn snapshot(&self) -> Vec<String> {
-        self.lines
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.shared.0).lines.iter().cloned().collect()
     }
+
+    /// The tail of a worker that has exited: waits up to `limit` for the
+    /// draining thread to reach the end of the stream, so the last lines
+    /// a dying worker wrote (its panic message, an injected fault's
+    /// announcement) are not lost to the race with the exit.
+    pub fn final_snapshot(&self, limit: Duration) -> Vec<String> {
+        let (state, ended) = &*self.shared;
+        let guard = lock(state);
+        let (guard, _) = ended
+            .wait_timeout_while(guard, limit, |s| !s.closed)
+            .unwrap_or_else(|e| e.into_inner());
+        guard.lines.iter().cloned().collect()
+    }
+}
+
+fn lock(state: &Mutex<TailState>) -> MutexGuard<'_, TailState> {
+    state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -165,6 +188,15 @@ mod tests {
             assert!(Instant::now() < deadline, "tail never settled: {snap:?}");
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    #[test]
+    fn final_snapshot_waits_for_the_end_of_the_stream() {
+        let tail = StderrTail::tail(std::io::Cursor::new(b"first\nlast words\n".to_vec()));
+        assert_eq!(
+            tail.final_snapshot(Duration::from_secs(5)),
+            ["first", "last words"]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * **Real wind-buoy measurements** (§6.2.1): 40 ocean buoys reporting
 //!   2-component wind vectors every 10 minutes for 7 days. The original
 //!   TAO/PMEL data set is not available offline, so [`buoy`] synthesizes a
-//!   statistically similar trace (see DESIGN.md, "Substitutions").
+//!   statistically similar trace.
 //!
 //! A workload is a [`WorkloadSpec`]: initial values, per-object
 //! [`Updater`]s (stochastic or scripted), weight profiles, and nominal

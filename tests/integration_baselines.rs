@@ -4,7 +4,6 @@
 use besync::config::SystemConfig;
 use besync::priority::{PolicyKind, RateEstimator};
 use besync::{CoopSystem, IdealSystem};
-use besync_baselines::freshness;
 use besync_baselines::{CgmConfig, CgmSystem, CgmVariant};
 use besync_data::Metric;
 use besync_workloads::generators::fig6_workload;
@@ -103,47 +102,4 @@ fn ideal_cooperative_beats_ideal_cache_based() {
             cache.mean_divergence()
         );
     }
-}
-
-#[test]
-fn cgm_budget_is_respected() {
-    let m = 10u32;
-    let n = 10u32;
-    let bandwidth = 30.0;
-    let horizon = 360.0;
-    for variant in [
-        CgmVariant::IdealCacheBased,
-        CgmVariant::Cgm1,
-        CgmVariant::Cgm2,
-    ] {
-        let r = CgmSystem::new(cgm_cfg(bandwidth, variant), fig6_workload(m, n, 23)).run();
-        let cost = variant.cost_per_refresh();
-        let used = r.refreshes_sent as f64 * cost;
-        assert!(
-            used <= bandwidth * horizon * 1.05 + 10.0,
-            "{}: used {used} units over {horizon}s at capacity {bandwidth}",
-            variant.name()
-        );
-    }
-}
-
-#[test]
-fn freshness_allocation_agrees_with_simulation() {
-    // The analytic freshness model predicts simulated staleness well for
-    // the ideal cache-based scheduler: staleness ≈ 1 − mean freshness.
-    let m = 10u32;
-    let n = 10u32;
-    let spec = fig6_workload(m, n, 24);
-    let bandwidth = 50.0;
-    let freqs = freshness::allocate(&spec.rates, bandwidth);
-    let predicted_staleness =
-        1.0 - freshness::total_freshness(&spec.rates, &freqs) / (m * n) as f64;
-    let mut c = cgm_cfg(bandwidth, CgmVariant::IdealCacheBased);
-    c.measure = 600.0;
-    let r = CgmSystem::new(c, spec).run();
-    let simulated = r.mean_divergence();
-    assert!(
-        (simulated - predicted_staleness).abs() < 0.08,
-        "simulated {simulated} vs analytic {predicted_staleness}"
-    );
 }

@@ -7,7 +7,6 @@ use besync::config::SystemConfig;
 use besync::priority::{PolicyKind, RateEstimator};
 use besync::{CoopSystem, IdealSystem};
 use besync_data::Metric;
-use besync_workloads::buoy::{self, BuoyConfig};
 use besync_workloads::generators::{fig6_workload, random_walk_poisson, PoissonWorkloadOptions};
 use besync_workloads::WorkloadSpec;
 
@@ -90,41 +89,6 @@ fn feedback_fills_surplus_bandwidth() {
 }
 
 #[test]
-fn fluctuating_bandwidth_is_tracked() {
-    let mut fluct = cfg(15.0, 8.0);
-    fluct.bandwidth_change_rate = 0.25;
-    let mut fixed = cfg(15.0, 8.0);
-    fixed.bandwidth_change_rate = 0.0;
-    let r_fluct = CoopSystem::new(fluct, spec(5, 10, 6)).run();
-    let r_fixed = CoopSystem::new(fixed, spec(5, 10, 6)).run();
-    // Adaptivity: fluctuation should cost something but not break the
-    // system (divergence within 3x of the fixed-bandwidth run).
-    assert!(r_fluct.mean_divergence() <= (r_fixed.mean_divergence() * 3.0).max(0.15));
-}
-
-#[test]
-fn weighted_objects_get_preferential_treatment() {
-    // Two halves with equal rates but 10× weights: the heavy half must
-    // end up fresher.
-    let mut s = spec(2, 20, 7);
-    for obj in s.layout.all_objects() {
-        let w = if obj.0 % 2 == 0 { 10.0 } else { 1.0 };
-        s.weights[obj.index()] = besync_data::WeightProfile::constant(w);
-    }
-    let c = cfg(4.0, 2.0); // scarce: choices matter
-    let report = CoopSystem::new(c, s).run();
-    // Under weight-blind treatment staleness is independent of weight, so
-    // the weighted mean would be E[w] = 5.5 times the unweighted mean.
-    let uniform_treatment = 5.5 * report.divergence.mean_unweighted;
-    assert!(
-        report.divergence.mean_weighted < uniform_treatment,
-        "weighted {} vs uniform-treatment bound {}",
-        report.divergence.mean_weighted,
-        uniform_treatment
-    );
-}
-
-#[test]
 fn all_feedback_targeting_policies_work() {
     for targeting in [
         FeedbackTargeting::HighestThreshold,
@@ -156,25 +120,6 @@ fn closed_form_policy_with_estimators() {
             r.mean_divergence()
         );
     }
-}
-
-#[test]
-fn scripted_buoy_workload_runs_end_to_end() {
-    let bcfg = BuoyConfig::quick();
-    let s = buoy::workload(&bcfg, 12);
-    let c = SystemConfig {
-        metric: Metric::abs_deviation(),
-        cache_bandwidth_mean: 10.0 / 60.0,
-        source_bandwidth_mean: 1.0,
-        warmup: 0.2 * bcfg.duration,
-        measure: 0.8 * bcfg.duration,
-        ..SystemConfig::default()
-    };
-    let r = CoopSystem::new(c, s).run();
-    assert!(r.updates_processed > 0);
-    assert!(r.mean_divergence() >= 0.0);
-    // Wind values live in [0, 10]; deviation can't exceed that.
-    assert!(r.mean_divergence() <= 10.0);
 }
 
 #[test]

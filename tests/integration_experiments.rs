@@ -3,7 +3,7 @@
 //! qualitative shape at quick scale, and CSV emission round-trips.
 
 use besync_experiments::output::{render_csv, render_table, Row};
-use besync_experiments::{bounds, competitive, fig4, fig5, fig6, params, sampling, validate, Mode};
+use besync_experiments::{competitive, fig4, fig5, fig6, Mode};
 
 #[test]
 fn fig6_reproduces_paper_ordering() {
@@ -53,78 +53,6 @@ fn fig5_table_is_well_formed() {
     }
     let table = render_table(&rows);
     assert!(table.contains("fluctuating"));
-}
-
-#[test]
-fn validation_tables_match_paper_direction() {
-    let uniform = validate::run_uniform(Mode::Quick, 104);
-    for r in &uniform {
-        assert!(
-            r.increase_pct.abs() < 30.0,
-            "uniform: policies should be close, got {:+.1}% ({} n={})",
-            r.increase_pct,
-            r.metric,
-            r.n
-        );
-    }
-    let skew = validate::run_skew(Mode::Quick, 104);
-    for r in &skew {
-        assert!(
-            r.increase_pct > 10.0,
-            "skew: simple should lose clearly, got {:+.1}% ({})",
-            r.increase_pct,
-            r.metric
-        );
-    }
-}
-
-#[test]
-fn param_sweep_paper_setting_is_competitive() {
-    // The paper's claim is robustness, not a sharp optimum: α=1.1, ω=10
-    // must be within a whisker of the best cell, and the aggressive
-    // corner (large α with small ω) must be clearly worse.
-    let rows = params::run(Mode::Quick, 105);
-    let best = rows
-        .iter()
-        .map(|r| r.divergence)
-        .fold(f64::INFINITY, f64::min);
-    let paper = rows
-        .iter()
-        .find(|r| r.alpha == 1.1 && r.omega == 10.0)
-        .expect("grid includes the paper's setting");
-    assert!(
-        paper.divergence <= best * 1.15,
-        "paper setting {} vs best {best}",
-        paper.divergence
-    );
-    let worst = rows
-        .iter()
-        .max_by(|a, b| a.divergence.total_cmp(&b.divergence))
-        .unwrap();
-    assert!(
-        worst.alpha >= 1.5 || worst.omega <= 2.0,
-        "worst cell should be an aggressive corner, got α={} ω={}",
-        worst.alpha,
-        worst.omega
-    );
-    assert!(worst.divergence > best);
-}
-
-#[test]
-fn bounds_experiment_validates_section9() {
-    let rows = bounds::run(Mode::Quick, 106);
-    let names: Vec<&str> = rows.iter().map(|r| r.policy).collect();
-    assert!(names.contains(&"analytic_optimum"));
-    assert!(names.contains(&"bound_priority"));
-    let ours = rows.iter().find(|r| r.policy == "bound_priority").unwrap();
-    assert!(ours.vs_optimal < 1.1);
-}
-
-#[test]
-fn sampling_experiment_shows_interval_tradeoff() {
-    let rows = sampling::run(Mode::Quick, 107);
-    assert!(rows.len() >= 4);
-    assert!(rows[0].mean_rel_error < rows.last().unwrap().mean_rel_error);
 }
 
 #[test]
