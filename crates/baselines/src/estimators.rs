@@ -99,7 +99,7 @@ impl RateEstimate for LastModifiedEstimator {
 /// memory stays O(#distinct intervals) regardless of poll count.
 #[derive(Debug, Clone, Default)]
 pub struct BinaryChangeEstimator {
-    /// interval (quantized µs) → (changed count, unchanged count)
+    /// interval (quantized ms) → (changed count, unchanged count)
     buckets: BTreeMap<u64, (u64, u64)>,
     polls: u64,
     changes: u64,
@@ -114,21 +114,23 @@ impl BinaryChangeEstimator {
     fn quantize(interval: f64) -> u64 {
         (interval * 1e3).round().max(1.0) as u64
     }
+}
 
-    /// The derivative of the log-likelihood at `lambda`:
-    /// `Σ_changed I·e^{−λI}/(1−e^{−λI}) − Σ_unchanged I`.
-    fn score(&self, lambda: f64) -> f64 {
-        let mut s = 0.0;
-        for (&q, &(yes, no)) in &self.buckets {
-            let interval = q as f64 / 1e3;
-            if yes > 0 {
-                let e = (-lambda * interval).exp();
-                s += yes as f64 * interval * e / (1.0 - e).max(1e-300);
-            }
-            s -= no as f64 * interval;
+/// The derivative of the log-likelihood at `lambda`:
+/// `Σ_changed I·e^{−λI}/(1−e^{−λI}) − Σ_unchanged I`, over one
+/// `(I, yes·I, no·I)` term per interval bucket, in bucket order.
+/// `yes·I·e` is `(yes·I)·e` in f64 too, so the pre-multiplied terms give
+/// the bits of the per-bucket expression.
+fn score(terms: &[(f64, f64, f64)], lambda: f64) -> f64 {
+    let mut s = 0.0;
+    for &(interval, yes_i, no_i) in terms {
+        if yes_i > 0.0 {
+            let e = (-lambda * interval).exp();
+            s += yes_i * e / (1.0 - e).max(1e-300);
         }
-        s
+        s -= no_i;
     }
+    s
 }
 
 impl RateEstimate for BinaryChangeEstimator {
@@ -178,9 +180,17 @@ impl RateEstimate for BinaryChangeEstimator {
         // Root of the score by bisection; score is strictly decreasing in
         // λ, positive at 0⁺ (changes exist) and negative at ∞ (unchanged
         // polls exist).
+        let terms: Vec<(f64, f64, f64)> = self
+            .buckets
+            .iter()
+            .map(|(&q, &(yes, no))| {
+                let interval = q as f64 / 1e3;
+                (interval, yes as f64 * interval, no as f64 * interval)
+            })
+            .collect();
         let mut lo = 1e-9;
         let mut hi = 1.0;
-        while self.score(hi) > 0.0 {
+        while score(&terms, hi) > 0.0 {
             hi *= 4.0;
             if hi > 1e12 {
                 break;
@@ -188,10 +198,19 @@ impl RateEstimate for BinaryChangeEstimator {
         }
         for _ in 0..100 {
             let mid = 0.5 * (lo + hi);
-            if self.score(mid) > 0.0 {
+            // Once the midpoint collides with an endpoint, every later
+            // iteration recomputes the same midpoint and repeats the same
+            // no-op: breaking after this one is bit-identical to running
+            // out all 100 (the argument of `freshness::allocate`'s final
+            // bisection).
+            let converged = mid == lo || mid == hi;
+            if score(&terms, mid) > 0.0 {
                 lo = mid;
             } else {
                 hi = mid;
+            }
+            if converged {
+                break;
             }
         }
         0.5 * (lo + hi)

@@ -247,3 +247,200 @@ proptest! {
         }
     }
 }
+
+/// The binary-detection MLE as it was before its score terms were
+/// flattened and its bisection stopped at convergence: the `BTreeMap`
+/// walk on every score call and all 100 bisection steps. It is the
+/// bit-exact oracle for `BinaryChangeEstimator::estimate`.
+fn binary_estimate_walk(obs: &[(f64, bool)], fallback: f64) -> f64 {
+    use std::collections::BTreeMap;
+    let mut buckets: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    let (mut polls, mut changes) = (0u64, 0u64);
+    for &(interval, changed) in obs {
+        polls += 1;
+        let entry = buckets
+            .entry((interval * 1e3).round().max(1.0) as u64)
+            .or_insert((0, 0));
+        if changed {
+            changes += 1;
+            entry.0 += 1;
+        } else {
+            entry.1 += 1;
+        }
+    }
+    let score = |lambda: f64| -> f64 {
+        let mut s = 0.0;
+        for (&q, &(yes, no)) in &buckets {
+            let interval = q as f64 / 1e3;
+            if yes > 0 {
+                let e = (-lambda * interval).exp();
+                s += yes as f64 * interval * e / (1.0 - e).max(1e-300);
+            }
+            s -= no as f64 * interval;
+        }
+        s
+    };
+    if polls == 0 {
+        return fallback;
+    }
+    if changes == 0 {
+        let total_time: f64 = buckets
+            .iter()
+            .map(|(&q, &(_, no))| q as f64 / 1e3 * no as f64)
+            .sum();
+        return (0.5 / (polls as f64 + 0.5) / (total_time / polls as f64)).max(1e-9);
+    }
+    if changes == polls {
+        let n = polls as f64;
+        let mean_interval: f64 = buckets
+            .iter()
+            .map(|(&q, &(yes, no))| q as f64 / 1e3 * (yes + no) as f64)
+            .sum::<f64>()
+            / n;
+        return -((0.5) / (n + 0.5)).ln() / mean_interval;
+    }
+    let mut lo = 1e-9;
+    let mut hi = 1.0;
+    while score(hi) > 0.0 {
+        hi *= 4.0;
+        if hi > 1e12 {
+            break;
+        }
+    }
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if score(mid) > 0.0 {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
+/// `g(r) = 1 − e^{−r}(1+r)` exactly as `freshness` evaluates it.
+fn g_reference(r: f64) -> f64 {
+    if r <= 0.25 {
+        let c = [
+            1.0 / 2.0,
+            -1.0 / 3.0,
+            1.0 / 8.0,
+            -1.0 / 30.0,
+            1.0 / 144.0,
+            -1.0 / 840.0,
+            1.0 / 5760.0,
+            -1.0 / 45360.0,
+            1.0 / 403200.0,
+            -1.0 / 3991680.0,
+            1.0 / 43545600.0,
+        ];
+        let mut p = c[10];
+        for &ck in c[..10].iter().rev() {
+            p = ck + r * p;
+        }
+        return r * r * p;
+    }
+    if r > 700.0 {
+        return 1.0;
+    }
+    1.0 - (-r).exp() * (1.0 + r)
+}
+
+/// The Newton inversion of `g` with two `exp` calls per step (one for
+/// `g′`, one inside `g`): the bit-exact oracle for `invert_g`.
+fn invert_g_two_exp(y: f64) -> f64 {
+    if y <= 0.0 {
+        return 0.0;
+    }
+    let g_at_one = 1.0 - 2.0 / std::f64::consts::E;
+    let mut r = if y < g_at_one {
+        (2.0 * y).sqrt()
+    } else {
+        let l = -(-y).ln_1p();
+        let r1 = l + (1.0 + l).ln();
+        l + (1.0 + r1).ln()
+    };
+    for _ in 0..32 {
+        let d = r * (-r).exp();
+        if d < f64::MIN_POSITIVE {
+            break;
+        }
+        let step = (g_reference(r) - y) / d;
+        let next = r - step;
+        if next <= 0.0 || next.is_nan() {
+            r *= 0.5;
+            continue;
+        }
+        r = next;
+        if step.abs() <= 2.0 * f64::EPSILON * r {
+            break;
+        }
+    }
+    r
+}
+
+// Bit-exact oracles: the optimized solvers must return the very bits of
+// the straightforward versions above, so the recorded CGM trajectories
+// cannot move.
+proptest! {
+    /// Observation streams with intervals of 1 ms – 10 s. Half the
+    /// streams draw from eight 1–8 s intervals plus sub-millisecond
+    /// jitter, so quantized buckets collide; a third of all streams saw
+    /// a change on every poll, a third on none.
+    #[test]
+    fn binary_estimate_matches_the_tree_walk_bit_for_bit(
+        obs in prop::collection::vec(
+            (
+                prop_oneof![
+                    0.001f64..10.0,
+                    (1u32..9, 0.0f64..0.0004).prop_map(|(k, jitter)| k as f64 + jitter),
+                ],
+                0.0f64..1.0,
+            ),
+            1..120,
+        ),
+        mix in 0u32..3,
+        fallback in 0.01f64..5.0,
+    ) {
+        let obs: Vec<(f64, bool)> = obs
+            .into_iter()
+            .map(|(interval, u)| (interval, match mix {
+                0 => u < 0.5,
+                1 => true,
+                _ => false,
+            }))
+            .collect();
+        let mut est = BinaryChangeEstimator::new();
+        for &(interval, changed) in &obs {
+            let o = if changed {
+                ChangeObservation::Changed { age: interval / 2.0 }
+            } else {
+                ChangeObservation::Unchanged
+            };
+            est.observe(interval, o);
+        }
+        let got = est.estimate(fallback);
+        let want = binary_estimate_walk(&obs, fallback);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
+    }
+
+    /// y across (0, 1): log-uniform down to 1e-300, the series branch of
+    /// g (r ≤ 0.25, i.e. y ≤ g(0.25) ≈ 0.0265), the √(2y) start below
+    /// g(1) ≈ 0.264, the fixed-point start above it, and y within 1e-6
+    /// of 1.
+    #[test]
+    fn invert_g_matches_the_two_exp_newton_bit_for_bit(
+        y in prop_oneof![
+            (-300.0f64..-6.0).prop_map(|e| 10f64.powf(e)),
+            1e-6f64..0.03,
+            0.03f64..0.27,
+            0.26f64..1.0,
+            0.999_999f64..1.0,
+        ],
+    ) {
+        use besync_baselines::freshness::invert_g;
+        let got = invert_g(y);
+        let want = invert_g_two_exp(y);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "y={}: {} vs {}", y, got, want);
+    }
+}
