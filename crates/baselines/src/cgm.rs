@@ -162,6 +162,8 @@ struct Poller {
     poll_scheduled: Vec<bool>,
     link: Link<()>,
     pending: VecDeque<u32>,
+    /// Largest `pending.len()` seen: the report's `max_cache_queue`.
+    max_pending: usize,
     polls: u64,
     /// Poll-response loss lane when a fault profile with positive loss is
     /// configured (`None` otherwise — no draws on the fault-free path).
@@ -239,6 +241,7 @@ impl CgmSystem {
                 0.0,
             )),
             pending: VecDeque::new(),
+            max_pending: 0,
             polls: 0,
             loss,
             fault_stats: FaultSummary::default(),
@@ -260,7 +263,7 @@ impl CgmSystem {
             } else {
                 p.polls
             },
-            max_cache_queue: p.pending.len(),
+            max_cache_queue: p.max_pending,
             faults: p.fault_stats,
             ..self.kernel.report()
         }
@@ -302,6 +305,7 @@ impl Poller {
             // Not enough bandwidth right now: wait in FIFO order for the
             // tick drain (a poll "queued in the network").
             self.pending.push_back(obj.0);
+            self.max_pending = self.max_pending.max(self.pending.len());
         }
     }
 
@@ -483,6 +487,24 @@ mod tests {
         )
         .run();
         assert!(rich.mean_divergence() < poor.mean_divergence());
+    }
+
+    #[test]
+    fn max_cache_queue_is_the_backlog_high_water_mark() {
+        // Polls spend the whole budget, so a poll that falls due between
+        // ticks often finds the credit spent and queues until the next
+        // tick; this run's backlog has drained by the horizon.
+        let c = || cfg(CgmVariant::Cgm1, 25.0);
+        let r = CgmSystem::new(c(), fig6_workload(5, 10, 8)).run();
+        let mut sys = CgmSystem::new(c(), fig6_workload(5, 10, 8));
+        let horizon = sys.kernel.horizon();
+        sys.kernel.run_until(horizon, &mut sys.poller);
+        let backlog = sys.poller.pending.len();
+        assert!(
+            r.max_cache_queue > 0 && r.max_cache_queue >= backlog,
+            "max_cache_queue {} vs final backlog {backlog}",
+            r.max_cache_queue
+        );
     }
 
     #[test]

@@ -276,7 +276,7 @@ pub fn allocate(rates: &[f64], budget: f64) -> Vec<f64> {
         }
         let step = (budget - sum) / slope;
         if step.abs() <= f64::EPSILON * mu {
-            (lo, hi) = tighten(&total_for, budget, mu, lo, hi);
+            (lo, hi) = tighten(total_for, budget, mu, lo, hi);
             break;
         }
         let next = mu + step;
