@@ -22,13 +22,14 @@
 
 use std::collections::VecDeque;
 
-use besync::fault::{FaultProfile, FaultSummary, LossLane};
+use besync::config::SystemConfig;
+use besync::fault::{FaultSummary, LossLane};
 use besync::kernel::{Handler, Kernel};
 use besync::report::RunReport;
-use besync_data::{Metric, ObjectId};
+use besync_data::ObjectId;
 use besync_net::Link;
 use besync_sim::rng::{self, streams};
-use besync_sim::{SimTime, Wave};
+use besync_sim::SimTime;
 use besync_workloads::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -75,63 +76,6 @@ const REALLOC_PERIOD: f64 = 50.0;
 /// (practical variants only).
 const EXPLORATION_FLOOR: f64 = 0.1;
 
-/// Simulation tick (seconds).
-const TICK: f64 = 1.0;
-
-/// Configuration of a CGM run.
-#[derive(Debug, Clone)]
-pub struct CgmConfig {
-    /// Which variant.
-    pub variant: CgmVariant,
-    /// Divergence metric accounted (CGM optimizes staleness; other
-    /// metrics are measured but not targeted).
-    pub metric: Metric,
-    /// Average cache-side bandwidth (messages/second). The CGM polling
-    /// model assumes no source-side limits (§6.3).
-    pub cache_bandwidth_mean: f64,
-    /// The paper holds bandwidth constant for this comparison (`m_B = 0`);
-    /// nonzero values are supported for extensions.
-    pub bandwidth_change_rate: f64,
-    /// Warm-up duration (seconds).
-    pub warmup: f64,
-    /// Measured duration (seconds).
-    pub measure: f64,
-    /// Simulation-side seed (phases).
-    pub sim_seed: u64,
-    /// Simulated-world fault profile. CGM polls over the same unreliable
-    /// medium, so of the fault classes only refresh (poll-response) loss
-    /// applies; `None` keeps the fault-free path bit-identical.
-    pub fault: Option<FaultProfile>,
-}
-
-impl Default for CgmConfig {
-    fn default() -> Self {
-        CgmConfig {
-            variant: CgmVariant::IdealCacheBased,
-            metric: Metric::Staleness,
-            cache_bandwidth_mean: 50.0,
-            bandwidth_change_rate: 0.0,
-            warmup: 100.0,
-            measure: 500.0,
-            sim_seed: 0,
-            fault: None,
-        }
-    }
-}
-
-impl CgmConfig {
-    /// End of the run.
-    pub fn horizon(&self) -> f64 {
-        self.warmup + self.measure
-    }
-
-    /// The refresh budget in refreshes/second (bandwidth divided by the
-    /// per-refresh message cost).
-    pub fn refresh_budget(&self) -> f64 {
-        self.cache_bandwidth_mean / self.variant.cost_per_refresh()
-    }
-}
-
 enum Estimator {
     Oracle,
     LastModified(LastModifiedEstimator),
@@ -151,7 +95,9 @@ pub struct CgmSystem {
 /// `poll_scheduled`, so each slot holds at most one pending event); one
 /// more auxiliary slot, `total`, carries the re-allocation timer.
 struct Poller {
-    cfg: CgmConfig,
+    variant: CgmVariant,
+    /// Refreshes per second: cache bandwidth over the per-refresh cost.
+    budget: f64,
     sched_rng: SmallRng,
     true_rates: Vec<f64>,
     freqs: Vec<f64>,
@@ -172,43 +118,33 @@ struct Poller {
 }
 
 impl CgmSystem {
-    /// Builds a CGM run over the workload (sources in the layout are
-    /// irrelevant to CGM, which sees a flat set of objects).
-    pub fn new(cfg: CgmConfig, mut spec: WorkloadSpec) -> Self {
+    /// Builds a `variant` run over the workload, which CGM sees as a flat
+    /// set of objects. Of `cfg` it reads the metric (accounted, not
+    /// targeted), tick, window, cache link, seed and fault profile: the
+    /// polling model has no source-side limits (§6.3), and of the fault
+    /// classes only poll-response loss applies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault profile sets anything but refresh loss.
+    pub fn new(variant: CgmVariant, cfg: SystemConfig, mut spec: WorkloadSpec) -> Self {
         let total = spec.total_objects();
-        let budget = cfg.refresh_budget();
+        let budget = cfg.cache_bandwidth_mean / variant.cost_per_refresh();
         // Polls spend the whole refresh budget in steady state.
-        let mut kernel = Kernel::new(
-            cfg.metric,
-            TICK,
-            cfg.warmup,
-            cfg.measure,
-            &mut spec,
-            total + 1,
-            budget,
-        );
+        let mut kernel = Kernel::new(&cfg, &mut spec, total + 1, budget);
 
-        let (freqs, estimators): (Vec<f64>, Vec<Estimator>) = match cfg.variant {
-            CgmVariant::IdealCacheBased => (
-                allocate(&spec.rates, budget),
-                (0..total).map(|_| Estimator::Oracle).collect(),
-            ),
-            CgmVariant::Cgm1 => (
-                vec![budget / total as f64; total],
-                (0..total)
-                    .map(|_| Estimator::LastModified(LastModifiedEstimator::new()))
-                    .collect(),
-            ),
-            CgmVariant::Cgm2 => (
-                vec![budget / total as f64; total],
-                (0..total)
-                    .map(|_| Estimator::Binary(BinaryChangeEstimator::new()))
-                    .collect(),
-            ),
+        let freqs = match variant {
+            CgmVariant::IdealCacheBased => allocate(&spec.rates, budget),
+            CgmVariant::Cgm1 | CgmVariant::Cgm2 => vec![budget / total as f64; total],
+        };
+        let estimator = || match variant {
+            CgmVariant::IdealCacheBased => Estimator::Oracle,
+            CgmVariant::Cgm1 => Estimator::LastModified(LastModifiedEstimator::new()),
+            CgmVariant::Cgm2 => Estimator::Binary(BinaryChangeEstimator::new()),
         };
 
         let mut sched_rng = rng::stream_rng(cfg.sim_seed, streams::SCHEDULER);
-        if !matches!(cfg.variant, CgmVariant::IdealCacheBased) {
+        if !matches!(variant, CgmVariant::IdealCacheBased) {
             kernel.schedule_aux(total as u32, SimTime::new(REALLOC_PERIOD));
         }
         let mut poll_scheduled = vec![false; total];
@@ -221,31 +157,23 @@ impl CgmSystem {
             }
         }
 
-        let loss = cfg.fault.and_then(|profile| {
-            let lane = profile.loss_only_lane(cfg.sim_seed, cfg.variant.name());
-            lane.unwrap_or_else(|e| panic!("invalid fault profile: {e}"))
-        });
-
         let poller = Poller {
+            variant,
+            budget,
             sched_rng,
             true_rates: spec.rates,
             freqs,
-            estimators,
+            estimators: (0..total).map(|_| estimator()).collect(),
             last_update_time: vec![SimTime::ZERO; total],
             last_poll_time: vec![SimTime::ZERO; total],
             last_poll_updates: vec![0; total],
             poll_scheduled,
-            link: Link::new(Wave::fluctuating(
-                cfg.cache_bandwidth_mean,
-                cfg.bandwidth_change_rate,
-                0.0,
-            )),
+            link: Link::new(cfg.cache_wave()),
             pending: VecDeque::new(),
             max_pending: 0,
             polls: 0,
-            loss,
+            loss: cfg.loss_only_lane(variant.name()),
             fault_stats: FaultSummary::default(),
-            cfg,
         };
         CgmSystem { kernel, poller }
     }
@@ -258,7 +186,7 @@ impl CgmSystem {
         RunReport {
             refreshes_sent: p.polls,
             refreshes_delivered: p.polls - p.fault_stats.lost_refreshes,
-            polls_sent: if matches!(p.cfg.variant, CgmVariant::IdealCacheBased) {
+            polls_sent: if matches!(p.variant, CgmVariant::IdealCacheBased) {
                 0
             } else {
                 p.polls
@@ -276,7 +204,7 @@ impl Handler for Poller {
     }
 
     fn on_tick(&mut self, k: &mut Kernel, now: SimTime) {
-        let cost = self.cfg.variant.cost_per_refresh();
+        let cost = self.variant.cost_per_refresh();
         while !self.pending.is_empty() && self.link.try_consume(now, cost) {
             let obj = ObjectId(self.pending.pop_front().expect("checked non-empty"));
             self.do_poll(k, now, obj);
@@ -297,7 +225,7 @@ impl Poller {
     fn on_poll_due(&mut self, k: &mut Kernel, now: SimTime, obj: ObjectId) {
         let idx = obj.index();
         self.poll_scheduled[idx] = false;
-        let cost = self.cfg.variant.cost_per_refresh();
+        let cost = self.variant.cost_per_refresh();
         if self.link.try_consume(now, cost) {
             self.do_poll(k, now, obj);
             self.schedule_next_poll(k, now, obj);
@@ -362,7 +290,7 @@ impl Poller {
     }
 
     fn on_realloc(&mut self, k: &mut Kernel, now: SimTime) {
-        let budget = self.cfg.refresh_budget();
+        let budget = self.budget;
         let n = self.freqs.len();
         let fallback = budget / n as f64;
         let rates_hat: Vec<f64> = self
@@ -413,20 +341,23 @@ mod tests {
     use crate::freshness;
     use besync_workloads::generators::fig6_workload;
 
-    fn cfg(variant: CgmVariant, bandwidth: f64) -> CgmConfig {
-        CgmConfig {
-            variant,
+    fn cfg(bandwidth: f64) -> SystemConfig {
+        SystemConfig {
             cache_bandwidth_mean: bandwidth,
             warmup: 50.0,
             measure: 200.0,
-            ..CgmConfig::default()
+            ..SystemConfig::default()
         }
+    }
+
+    /// `variant` over 5 × 10 Figure 6 objects drawn from `seed`.
+    fn run(variant: CgmVariant, bandwidth: f64, seed: u64) -> RunReport {
+        CgmSystem::new(variant, cfg(bandwidth), fig6_workload(5, 10, seed)).run()
     }
 
     #[test]
     fn ideal_runs_and_refreshes() {
-        let spec = fig6_workload(5, 10, 1);
-        let r = CgmSystem::new(cfg(CgmVariant::IdealCacheBased, 25.0), spec).run();
+        let r = run(CgmVariant::IdealCacheBased, 25.0, 1);
         assert!(r.refreshes_sent > 0);
         assert!(r.mean_divergence() >= 0.0 && r.mean_divergence() <= 1.0);
         assert_eq!(r.polls_sent, 0);
@@ -435,8 +366,7 @@ mod tests {
     #[test]
     fn practical_variants_run() {
         for v in [CgmVariant::Cgm1, CgmVariant::Cgm2] {
-            let spec = fig6_workload(5, 10, 2);
-            let r = CgmSystem::new(cfg(v, 25.0), spec).run();
+            let r = run(v, 25.0, 2);
             assert!(r.polls_sent > 0, "{}", v.name());
             assert!(r.mean_divergence().is_finite());
         }
@@ -444,10 +374,8 @@ mod tests {
 
     #[test]
     fn round_trip_cost_halves_throughput() {
-        let spec_a = fig6_workload(5, 10, 3);
-        let spec_b = fig6_workload(5, 10, 3);
-        let ideal = CgmSystem::new(cfg(CgmVariant::IdealCacheBased, 20.0), spec_a).run();
-        let practical = CgmSystem::new(cfg(CgmVariant::Cgm1, 20.0), spec_b).run();
+        let ideal = run(CgmVariant::IdealCacheBased, 20.0, 3);
+        let practical = run(CgmVariant::Cgm1, 20.0, 3);
         // Same bandwidth, but polls cost 2: roughly half the refreshes.
         let ratio = practical.refreshes_sent as f64 / ideal.refreshes_sent as f64;
         assert!(
@@ -460,12 +388,8 @@ mod tests {
 
     #[test]
     fn ideal_beats_practical_on_staleness() {
-        let ideal = CgmSystem::new(
-            cfg(CgmVariant::IdealCacheBased, 30.0),
-            fig6_workload(5, 10, 4),
-        )
-        .run();
-        let cgm2 = CgmSystem::new(cfg(CgmVariant::Cgm2, 30.0), fig6_workload(5, 10, 4)).run();
+        let ideal = run(CgmVariant::IdealCacheBased, 30.0, 4);
+        let cgm2 = run(CgmVariant::Cgm2, 30.0, 4);
         assert!(
             ideal.mean_divergence() <= cgm2.mean_divergence() + 0.02,
             "ideal {} vs CGM2 {}",
@@ -476,16 +400,8 @@ mod tests {
 
     #[test]
     fn more_bandwidth_less_staleness() {
-        let poor = CgmSystem::new(
-            cfg(CgmVariant::IdealCacheBased, 5.0),
-            fig6_workload(5, 10, 5),
-        )
-        .run();
-        let rich = CgmSystem::new(
-            cfg(CgmVariant::IdealCacheBased, 45.0),
-            fig6_workload(5, 10, 5),
-        )
-        .run();
+        let poor = run(CgmVariant::IdealCacheBased, 5.0, 5);
+        let rich = run(CgmVariant::IdealCacheBased, 45.0, 5);
         assert!(rich.mean_divergence() < poor.mean_divergence());
     }
 
@@ -494,9 +410,8 @@ mod tests {
         // Polls spend the whole budget, so a poll that falls due between
         // ticks often finds the credit spent and queues until the next
         // tick; this run's backlog has drained by the horizon.
-        let c = || cfg(CgmVariant::Cgm1, 25.0);
-        let r = CgmSystem::new(c(), fig6_workload(5, 10, 8)).run();
-        let mut sys = CgmSystem::new(c(), fig6_workload(5, 10, 8));
+        let r = run(CgmVariant::Cgm1, 25.0, 8);
+        let mut sys = CgmSystem::new(CgmVariant::Cgm1, cfg(25.0), fig6_workload(5, 10, 8));
         let horizon = sys.kernel.horizon();
         sys.kernel.run_until(horizon, &mut sys.poller);
         let backlog = sys.poller.pending.len();
@@ -509,18 +424,16 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = CgmSystem::new(cfg(CgmVariant::Cgm1, 25.0), fig6_workload(5, 10, 6)).run();
-        let b = CgmSystem::new(cfg(CgmVariant::Cgm1, 25.0), fig6_workload(5, 10, 6)).run();
+        let a = run(CgmVariant::Cgm1, 25.0, 6);
+        let b = run(CgmVariant::Cgm1, 25.0, 6);
         assert_eq!(a.mean_divergence(), b.mean_divergence());
         assert_eq!(a.polls_sent, b.polls_sent);
     }
 
     #[test]
     fn poll_rate_respects_budget() {
-        let spec = fig6_workload(5, 10, 7);
-        let c = cfg(CgmVariant::Cgm1, 20.0);
-        let horizon = c.horizon();
-        let r = CgmSystem::new(c, spec).run();
+        let horizon = cfg(20.0).horizon();
+        let r = run(CgmVariant::Cgm1, 20.0, 7);
         // 20 units/s ÷ 2 per poll = ≤10 polls/s on average (plus burst).
         let rate = r.polls_sent as f64 / horizon;
         assert!(rate <= 10.5, "poll rate {rate}");
@@ -528,25 +441,31 @@ mod tests {
 
     #[test]
     fn cgm_budget_is_respected() {
+        // The poll link is the run's cache wave, so it fluctuates with
+        // `m_B` like every other system's; the budget holds either way.
         let bandwidth = 30.0;
-        for variant in [
-            CgmVariant::IdealCacheBased,
-            CgmVariant::Cgm1,
-            CgmVariant::Cgm2,
-        ] {
-            let c = CgmConfig {
-                warmup: 60.0,
-                measure: 300.0,
-                ..cfg(variant, bandwidth)
-            };
-            let horizon = c.horizon();
-            let r = CgmSystem::new(c, fig6_workload(10, 10, 23)).run();
-            let used = r.refreshes_sent as f64 * variant.cost_per_refresh();
-            assert!(
-                used <= bandwidth * horizon * 1.05 + 10.0,
-                "{}: used {used} units over {horizon}s at capacity {bandwidth}",
-                variant.name()
-            );
+        for bandwidth_change_rate in [0.0, 0.25] {
+            for variant in [
+                CgmVariant::IdealCacheBased,
+                CgmVariant::Cgm1,
+                CgmVariant::Cgm2,
+            ] {
+                let c = SystemConfig {
+                    bandwidth_change_rate,
+                    warmup: 60.0,
+                    measure: 300.0,
+                    ..cfg(bandwidth)
+                };
+                let horizon = c.horizon();
+                let r = CgmSystem::new(variant, c, fig6_workload(10, 10, 23)).run();
+                let used = r.refreshes_sent as f64 * variant.cost_per_refresh();
+                assert!(
+                    used <= bandwidth * horizon * 1.05 + 10.0,
+                    "{} at m_B {bandwidth_change_rate}: used {used} units over {horizon}s \
+                     at capacity {bandwidth}",
+                    variant.name()
+                );
+            }
         }
     }
 
@@ -558,12 +477,14 @@ mod tests {
         let bandwidth = 50.0;
         let freqs = freshness::allocate(&spec.rates, bandwidth);
         let predicted = 1.0 - freshness::total_freshness(&spec.rates, &freqs) / 100.0;
-        let c = CgmConfig {
+        let c = SystemConfig {
             warmup: 60.0,
             measure: 600.0,
-            ..cfg(CgmVariant::IdealCacheBased, bandwidth)
+            ..cfg(bandwidth)
         };
-        let simulated = CgmSystem::new(c, spec).run().mean_divergence();
+        let simulated = CgmSystem::new(CgmVariant::IdealCacheBased, c, spec)
+            .run()
+            .mean_divergence();
         assert!(
             (simulated - predicted).abs() < 0.08,
             "simulated {simulated} vs analytic {predicted}"

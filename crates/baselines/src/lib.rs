@@ -26,4 +26,4 @@ pub mod cgm;
 pub mod estimators;
 pub mod freshness;
 
-pub use cgm::{CgmConfig, CgmSystem, CgmVariant};
+pub use cgm::{CgmSystem, CgmVariant};

@@ -14,6 +14,8 @@
 //! Options 1 and 2 are implemented as explicit rate allocations the cache
 //! advertises with its feedback; option 3 as the piggyback ratio.
 
+use besync_data::ids::ObjectLayout;
+
 /// How the Ψ share is divided among sources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharePolicy {
@@ -48,51 +50,23 @@ impl BandwidthPartition {
         BandwidthPartition { psi, policy }
     }
 
-    /// No partitioning: all bandwidth follows the cache's priority.
-    pub fn none() -> Self {
-        BandwidthPartition {
-            psi: 0.0,
-            policy: SharePolicy::EqualShare,
-        }
-    }
-
     /// The per-source refresh-rate allocations (messages/second) out of a
-    /// total cache bandwidth, under options (1) and (2). `value_share` is
-    /// only used by [`SharePolicy::ProportionalToValue`], where the
-    /// entitlement is informational (actual enforcement is by
-    /// piggybacking).
-    pub fn allocations(
-        &self,
-        cache_bandwidth: f64,
-        objects_per_source: &[u32],
-        value_share: Option<&[f64]>,
-    ) -> Vec<f64> {
-        let m = objects_per_source.len();
+    /// total cache bandwidth. Options (1) and (2) divide the Ψ pool;
+    /// option (3) allocates nothing up front, because piggybacking
+    /// enforces its entitlement.
+    pub fn allocations(&self, cache_bandwidth: f64, layout: ObjectLayout) -> Vec<f64> {
+        let m = layout.sources() as usize;
         let pool = self.psi * cache_bandwidth;
-        if m == 0 || pool <= 0.0 {
+        if pool <= 0.0 {
             return vec![0.0; m];
         }
         match self.policy {
             SharePolicy::EqualShare => vec![pool / m as f64; m],
             SharePolicy::ProportionalToObjects => {
-                let total: u64 = objects_per_source.iter().map(|&n| n as u64).sum();
-                if total == 0 {
-                    return vec![0.0; m];
-                }
-                objects_per_source
-                    .iter()
-                    .map(|&n| pool * n as f64 / total as f64)
-                    .collect()
+                let n = layout.objects_per_source();
+                vec![pool * n as f64 / layout.total_objects() as f64; m]
             }
-            SharePolicy::ProportionalToValue => {
-                let shares = value_share.expect("value shares required for option 3");
-                assert_eq!(shares.len(), m);
-                let total: f64 = shares.iter().sum();
-                if total <= 0.0 {
-                    return vec![0.0; m];
-                }
-                shares.iter().map(|&v| pool * v / total).collect()
-            }
+            SharePolicy::ProportionalToValue => vec![0.0; m],
         }
     }
 
@@ -100,11 +74,6 @@ impl BandwidthPartition {
     /// `Ψ/(1−Ψ)` objects of their own choosing per cache-priority refresh.
     pub fn piggyback_ratio(&self) -> f64 {
         self.psi / (1.0 - self.psi)
-    }
-
-    /// The fraction of bandwidth left for the cache's own priority.
-    pub fn cache_fraction(&self) -> f64 {
-        1.0 - self.psi
     }
 }
 
@@ -131,11 +100,6 @@ impl PiggybackCredit {
             false
         }
     }
-
-    /// Remaining fractional credit.
-    pub fn balance(&self) -> f64 {
-        self.credit
-    }
 }
 
 #[cfg(test)]
@@ -145,25 +109,24 @@ mod tests {
     #[test]
     fn equal_share_divides_pool() {
         let p = BandwidthPartition::new(0.5, SharePolicy::EqualShare);
-        let a = p.allocations(100.0, &[10, 10, 10, 10], None);
+        let a = p.allocations(100.0, ObjectLayout::new(4, 10));
         assert_eq!(a, vec![12.5; 4]);
-        assert_eq!(p.cache_fraction(), 0.5);
     }
 
     #[test]
     fn proportional_to_objects() {
+        // Every source owns n of the m·n objects, so option (2) gives
+        // each the same share option (1) does.
         let p = BandwidthPartition::new(0.4, SharePolicy::ProportionalToObjects);
-        let a = p.allocations(100.0, &[10, 30], None);
-        assert!((a[0] - 10.0).abs() < 1e-12);
-        assert!((a[1] - 30.0).abs() < 1e-12);
+        let a = p.allocations(100.0, ObjectLayout::new(4, 30));
+        assert_eq!(a.len(), 4);
+        assert!(a.iter().all(|&x| (x - 10.0).abs() < 1e-12), "{a:?}");
     }
 
     #[test]
     fn proportional_to_value() {
         let p = BandwidthPartition::new(0.5, SharePolicy::ProportionalToValue);
-        let a = p.allocations(100.0, &[5, 5], Some(&[1.0, 3.0]));
-        assert!((a[0] - 12.5).abs() < 1e-12);
-        assert!((a[1] - 37.5).abs() < 1e-12);
+        assert_eq!(p.allocations(100.0, ObjectLayout::new(2, 5)), vec![0.0; 2]);
     }
 
     #[test]
@@ -172,7 +135,8 @@ mod tests {
         assert!((p.piggyback_ratio() - 1.0).abs() < 1e-12);
         let p = BandwidthPartition::new(0.25, SharePolicy::ProportionalToValue);
         assert!((p.piggyback_ratio() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(BandwidthPartition::none().piggyback_ratio(), 0.0);
+        let none = BandwidthPartition::new(0.0, SharePolicy::ProportionalToValue);
+        assert_eq!(none.piggyback_ratio(), 0.0);
     }
 
     #[test]
@@ -188,13 +152,13 @@ mod tests {
         }
         // 9 refreshes × 1/3 = 3 piggybacks.
         assert_eq!(spent, 3);
-        assert!(c.balance() < 1.0);
+        assert!(!c.try_spend());
     }
 
     #[test]
     fn zero_psi_allocates_nothing() {
-        let p = BandwidthPartition::none();
-        assert_eq!(p.allocations(100.0, &[1, 2, 3], None), vec![0.0; 3]);
+        let p = BandwidthPartition::new(0.0, SharePolicy::ProportionalToObjects);
+        assert_eq!(p.allocations(100.0, ObjectLayout::new(3, 2)), vec![0.0; 3]);
     }
 
     #[test]

@@ -36,26 +36,11 @@ use crate::priority::PolicyKind;
 use crate::report::{RunReport, SourceSide};
 use crate::system::{Extension, Protocol, RefreshMsg, System};
 
-/// Configuration of a §7 competitive run.
-#[derive(Debug, Clone)]
-pub struct CompetitiveConfig {
-    /// The base system configuration. The workload's weight profiles are
-    /// the **cache's** priorities; the policy must be
-    /// [`PolicyKind::Area`] (the §7 machinery derives both priority views
-    /// from the shared area tracker).
-    pub base: SystemConfig,
-    /// Each object's weight under its **source's** objectives.
-    pub source_weights: Vec<WeightProfile>,
-    /// The Ψ partition.
-    pub partition: BandwidthPartition,
-}
-
-/// The §7 conflicted-halves weighting (the shape of the paper's
-/// competitive experiment): the cache favours the first half of each
-/// source's objects 10:1, each source favours its second half.
-/// Overwrites `spec.weights` with the cache's view and returns the
-/// sources' view; both are derived from the layout alone.
-pub fn conflicted_halves(spec: &mut WorkloadSpec) -> Vec<WeightProfile> {
+/// The §7 conflicted-halves weighting, the shape of the paper's
+/// competitive experiment (see [`CompetitiveSystem::new`]). Overwrites
+/// `spec.weights` with the cache's view and returns the sources' view;
+/// both are derived from the layout alone.
+fn conflicted_halves(spec: &mut WorkloadSpec) -> Vec<WeightProfile> {
     let n = spec.layout.objects_per_source();
     let mut source_weights = Vec::with_capacity(spec.total_objects());
     for obj in spec.layout.all_objects() {
@@ -94,47 +79,35 @@ pub struct Psi {
 pub type CompetitiveSystem = System<Psi>;
 
 impl CompetitiveSystem {
-    /// Builds the competitive system.
+    /// Builds the competitive system over `spec` with the Ψ `partition`.
+    /// The workload's weights are replaced by the conflicted-halves
+    /// pattern: the cache favours the first half of each source's objects
+    /// 10:1, each source favours its second half.
     ///
     /// # Panics
     ///
-    /// Panics if the base policy is not [`PolicyKind::Area`], the spec is
-    /// inconsistent, or `source_weights` doesn't cover every object.
-    pub fn new(cfg: CompetitiveConfig, spec: WorkloadSpec) -> Self {
+    /// Panics if the policy is not [`PolicyKind::Area`] (the §7 machinery
+    /// derives both priority views from the shared area tracker) or the
+    /// spec is inconsistent.
+    pub fn new(cfg: SystemConfig, partition: BandwidthPartition, mut spec: WorkloadSpec) -> Self {
         assert!(
-            matches!(cfg.base.policy, PolicyKind::Area),
+            matches!(cfg.policy, PolicyKind::Area),
             "competitive runs require the Area policy"
         );
-        assert_eq!(
-            cfg.source_weights.len(),
-            spec.total_objects(),
-            "one source weight per object"
-        );
+        let source_weights = conflicted_halves(&mut spec);
         let layout = spec.layout;
         let m = layout.sources() as usize;
-        let allocations = match cfg.partition.policy {
-            SharePolicy::ProportionalToValue => vec![0.0; m],
-            _ => cfg.partition.allocations(
-                cfg.base.cache_bandwidth_mean,
-                &vec![layout.objects_per_source(); m],
-                None,
-            ),
-        };
         let psi = Psi {
-            partition: cfg.partition,
-            source_truth: TruthTable::new(
-                cfg.base.metric,
-                &spec.initial_values,
-                cfg.source_weights.clone(),
-            ),
+            partition,
+            source_truth: TruthTable::new(cfg.metric, &spec.initial_values, source_weights.clone()),
             own_heaps: vec![IndexedMaxHeap::new(layout.objects_per_source() as usize); m],
-            source_weights: WeightSet::new(cfg.source_weights),
-            allocations,
+            source_weights: WeightSet::new(source_weights),
+            allocations: partition.allocations(cfg.cache_bandwidth_mean, layout),
             own_credit: vec![0.0; m],
             piggyback: vec![PiggybackCredit::default(); m],
             source_refreshes: 0,
         };
-        Self::with_extension(cfg.base, spec, psi)
+        Self::with_extension(cfg, spec, psi)
     }
 
     /// Processes every event at or before `t` (non-generic for the reason
@@ -262,10 +235,10 @@ mod tests {
     use besync_data::Metric;
     use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
 
-    /// Cache wants the first half of each source's objects; sources want
-    /// the second half.
-    fn conflicted() -> (WorkloadSpec, Vec<WeightProfile>) {
-        let mut spec = random_walk_poisson(
+    /// 4 × 10 unit-weight objects; the competitive system re-weights
+    /// them into conflicted halves.
+    fn workload() -> WorkloadSpec {
+        random_walk_poisson(
             PoissonWorkloadOptions {
                 sources: 4,
                 objects_per_source: 10,
@@ -274,13 +247,12 @@ mod tests {
                 fluctuating_weights: false,
             },
             5,
-        );
-        let source_weights = conflicted_halves(&mut spec);
-        (spec, source_weights)
+        )
     }
 
-    fn base_cfg() -> SystemConfig {
+    fn cfg(fault: Option<FaultProfile>) -> SystemConfig {
         SystemConfig {
+            fault,
             metric: Metric::Staleness,
             cache_bandwidth_mean: 8.0,
             source_bandwidth_mean: 4.0,
@@ -362,18 +334,7 @@ mod tests {
     }
 
     fn build(fault: Option<FaultProfile>, psi: f64, policy: SharePolicy) -> CompetitiveSystem {
-        let (spec, source_weights) = conflicted();
-        CompetitiveSystem::new(
-            CompetitiveConfig {
-                base: SystemConfig {
-                    fault,
-                    ..base_cfg()
-                },
-                source_weights,
-                partition: BandwidthPartition::new(psi, policy),
-            },
-            spec,
-        )
+        CompetitiveSystem::new(cfg(fault), BandwidthPartition::new(psi, policy), workload())
     }
 
     #[test]
@@ -385,14 +346,9 @@ mod tests {
             ..FaultProfile::default()
         };
         for fault in [None, Some(lossy)] {
-            let coop = crate::CoopSystem::new(
-                SystemConfig {
-                    fault,
-                    ..base_cfg()
-                },
-                conflicted().0,
-            )
-            .run();
+            let mut spec = workload();
+            conflicted_halves(&mut spec);
+            let coop = crate::CoopSystem::new(cfg(fault), spec).run();
             for policy in [SharePolicy::EqualShare, SharePolicy::ProportionalToValue] {
                 let psi0 = build(fault, 0.0, policy).run();
                 assert_eq!(side(&psi0).source_refreshes, 0);

@@ -6,12 +6,14 @@ use besync_sim::Wave;
 use rand::Rng;
 
 use crate::cache::FeedbackTargeting;
-use crate::fault::FaultProfile;
+use crate::fault::{FaultProfile, LossLane};
 use crate::priority::{PolicyKind, RateEstimator};
 use crate::threshold::{expected_feedback_period, ThresholdParams};
 
-/// Configuration of one simulation run (both the pragmatic cooperative
-/// system and the idealized scheduler consume this).
+/// Configuration of one simulation run. Every system kind is built from
+/// it: the §5 protocol, its §7 extension, the §3.3 ideal scheduler and
+/// the §6.3 CGM pollers (which read the metric, tick, window, cache link,
+/// seed and fault profile, and nothing else).
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Divergence metric being minimized.
@@ -115,6 +117,17 @@ impl SystemConfig {
             self.bandwidth_change_rate,
             phase,
         )
+    }
+
+    /// The loss lane of a system `kind` that models refresh loss only
+    /// (the ideal scheduler, the CGM pollers); `None` when nothing is lost.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`FaultProfile::loss_only_lane`] errs.
+    pub fn loss_only_lane(&self, kind: &str) -> Option<LossLane> {
+        let lane = self.fault?.loss_only_lane(self.sim_seed, kind);
+        lane.unwrap_or_else(|e| panic!("invalid fault profile: {e}"))
     }
 }
 

@@ -58,15 +58,7 @@ impl IdealSystem {
     /// [`crate::CoopSystem`] takes, so the two are directly comparable on
     /// identical update sequences.
     pub fn new(cfg: SystemConfig, mut spec: WorkloadSpec) -> Self {
-        let kernel = Kernel::new(
-            cfg.metric,
-            cfg.tick,
-            cfg.warmup,
-            cfg.measure,
-            &mut spec,
-            0,
-            0.0,
-        );
+        let kernel = Kernel::new(&cfg, &mut spec, 0, 0.0);
         let layout = spec.layout;
         let all = SourceRuntime::new(
             SourceId(0),
@@ -82,10 +74,6 @@ impl IdealSystem {
             cfg.bound_rates.clone(),
             SimTime::ZERO,
         );
-        let loss = cfg.fault.and_then(|profile| {
-            let lane = profile.loss_only_lane(cfg.sim_seed, "ideal");
-            lane.unwrap_or_else(|e| panic!("invalid fault profile: {e}"))
-        });
         let sched = Omniscient {
             layout,
             all,
@@ -95,7 +83,7 @@ impl IdealSystem {
                 .collect(),
             cache_link: Link::new(cfg.cache_wave()),
             stash: Vec::new(),
-            loss,
+            loss: cfg.loss_only_lane("ideal"),
             fault_stats: FaultSummary::default(),
             cfg,
         };

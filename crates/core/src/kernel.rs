@@ -18,12 +18,13 @@
 //! schedules its auxiliary slots after that. Every golden trajectory was
 //! recorded under this order.
 
-use besync_data::{Metric, ObjectId, TruthTable};
+use besync_data::{ObjectId, TruthTable};
 use besync_sim::stats::RunningStats;
 use besync_sim::{CalendarQueue, SimTime};
 use besync_workloads::{Updater, WorkloadSpec};
 use rand::rngs::SmallRng;
 
+use crate::config::SystemConfig;
 use crate::fault::FaultSummary;
 use crate::report::RunReport;
 
@@ -70,36 +71,34 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Builds the kernel over `spec`, taking its updaters, and schedules
-    /// warm-up, tick and every object's first update. `aux_slots` extra
-    /// slots are reserved for [`Kernel::schedule_aux`]; `aux_rate` is how
-    /// many of their events fire per second in steady state.
+    /// Builds the kernel over `spec` with `cfg`'s metric, tick and
+    /// window, taking the spec's updaters, and schedules warm-up, tick and
+    /// every object's first update. `aux_slots` extra slots are reserved
+    /// for [`Kernel::schedule_aux`]; `aux_rate` is how many of their
+    /// events fire per second in steady state.
     ///
     /// # Panics
     ///
     /// Panics if the workload spec is internally inconsistent.
     pub fn new(
-        metric: Metric,
-        tick: f64,
-        warmup: f64,
-        measure: f64,
+        cfg: &SystemConfig,
         spec: &mut WorkloadSpec,
         aux_slots: usize,
         aux_rate: f64,
     ) -> Self {
         spec.validate().expect("invalid workload spec");
         let total = spec.total_objects();
-        let truth = TruthTable::new(metric, &spec.initial_values, spec.weights.clone());
+        let truth = TruthTable::new(cfg.metric, &spec.initial_values, spec.weights.clone());
         // Bucket width ≈ the mean gap between consecutive events (updates
         // plus auxiliary events plus the tick), the occupancy-one sweet
         // spot for a calendar queue: the dominant update→next-update
         // pattern costs an O(1) bucket push and a short scan of one hot
         // bucket.
-        let event_rate = spec.rates.iter().sum::<f64>() + aux_rate + 1.0 / tick.max(1e-6);
+        let event_rate = spec.rates.iter().sum::<f64>() + aux_rate + 1.0 / cfg.tick.max(1e-6);
         let mut queue = CalendarQueue::new(total + 2 + aux_slots, 1.0 / event_rate);
         let tick_slot = total as u32;
-        queue.schedule(tick_slot + 1, SimTime::new(warmup));
-        queue.schedule(tick_slot, SimTime::new(tick));
+        queue.schedule(tick_slot + 1, SimTime::new(cfg.warmup));
+        queue.schedule(tick_slot, SimTime::new(cfg.tick));
         let rngs = spec.object_rngs();
         let mut updaters: Vec<(Updater, SmallRng)> = std::mem::take(&mut spec.updaters)
             .into_iter()
@@ -114,8 +113,8 @@ impl Kernel {
             queue,
             updaters,
             truth,
-            tick,
-            horizon: SimTime::new(warmup + measure),
+            tick: cfg.tick,
+            horizon: SimTime::new(cfg.horizon()),
             tick_slot,
             updates_processed: 0,
         }
@@ -234,7 +233,12 @@ mod tests {
             rates: vec![1.0, 1.0],
             seed: 0,
         };
-        let mut k = Kernel::new(Metric::Staleness, 1.0, 1.0, 2.0, &mut spec, 2, 0.0);
+        let cfg = SystemConfig {
+            warmup: 1.0,
+            measure: 2.0,
+            ..SystemConfig::default()
+        };
+        let mut k = Kernel::new(&cfg, &mut spec, 2, 0.0);
         k.schedule_aux(1, SimTime::new(1.0));
         k.schedule_aux(0, SimTime::new(1.0));
         let mut tape = Tape::default();

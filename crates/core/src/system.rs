@@ -213,15 +213,7 @@ impl<X: Extension> System<X> {
         // episode lane. With no profile the queue is constructed exactly
         // as before.
         let aux_slots = faults.as_ref().map_or(0, |fl| fl.lanes.len());
-        let mut kernel = Kernel::new(
-            cfg.metric,
-            cfg.tick,
-            cfg.warmup,
-            cfg.measure,
-            &mut spec,
-            aux_slots,
-            0.0,
-        );
+        let mut kernel = Kernel::new(&cfg, &mut spec, aux_slots, 0.0);
 
         // The sources take ownership of the spec's weight/rate pools
         // rather than copying slices out of them: at the 1M-object
@@ -332,16 +324,6 @@ impl<X: Extension> System<X> {
     /// Read access to the per-source runtimes (tests, diagnostics).
     pub fn sources(&self) -> &[SourceRuntime] {
         &self.proto.sources
-    }
-
-    /// How objects are laid out over sources.
-    pub fn layout(&self) -> ObjectLayout {
-        self.proto.layout
-    }
-
-    /// The ground truth (for inspection mid-construction or in tests).
-    pub fn truth(&self) -> &TruthTable {
-        &self.kernel.truth
     }
 }
 

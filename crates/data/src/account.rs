@@ -21,7 +21,7 @@
 //! weight profile per object, randomly indexed) was L3-resident and
 //! memory-bound. The state is therefore split by touch frequency:
 //!
-//! * **hot** — one 64-byte, cache-line-aligned [`HotAccount`] per object:
+//! * **hot** — one 64-byte, cache-line-aligned `HotAccount` per object:
 //!   the truth (values + update counters), the current divergence and
 //!   weighted divergence, and the time of the last transition. Exactly one
 //!   line per `source_update`/`apply_refresh`.

@@ -7,9 +7,10 @@
 //! [`ScenarioSpec`]: a plain-data description of a run (system kind,
 //! object layout, rate/weight regimes, policy, metric, bandwidth waves
 //! including the paper's `m_B`, warm-up/measure windows) plus a lowering
-//! that turns it into a [`besync_workloads::WorkloadSpec`] and a
-//! [`besync::config::SystemConfig`] / [`besync_baselines::CgmConfig`]
-//! and builds the ready-to-run system.
+//! that turns it into a [`besync_workloads::WorkloadSpec`] and the one
+//! [`besync::config::SystemConfig`] every system kind is built from, and
+//! builds the ready-to-run system (a CGM run adds its variant, a §7 run
+//! its Ψ partition).
 //!
 //! Two properties matter:
 //!
@@ -22,7 +23,7 @@
 //!   value that can be shipped to another process — the unit of work a
 //!   future sweep-sharding runner will distribute.
 //!
-//! The named registry in [`suite`] holds the bench scenario set (by
+//! The named registry in [`suite`](mod@suite) holds the bench scenario set (by
 //! `name`, with one-line descriptions for `besync-bench --list`) and the
 //! small golden scenarios, so each definition exists exactly once.
 

@@ -1,13 +1,13 @@
 //! The declarative scenario spec and its lowering.
 
 use besync::cache::partition::{BandwidthPartition, SharePolicy};
-use besync::competitive::{conflicted_halves, CompetitiveConfig, CompetitiveSystem};
+use besync::competitive::CompetitiveSystem;
 use besync::config::SystemConfig;
 use besync::fault::FaultProfile;
 use besync::priority::{PolicyKind, RateEstimator};
 use besync::system::CoopSystem;
 use besync::{IdealSystem, RunReport};
-use besync_baselines::{CgmConfig, CgmSystem, CgmVariant};
+use besync_baselines::{CgmSystem, CgmVariant};
 use besync_data::Metric;
 use besync_workloads::buoy::{self, BuoyConfig};
 use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
@@ -25,8 +25,8 @@ pub enum SystemKind {
     /// The §7 competitive system: cache and sources disagree on weights,
     /// a Ψ fraction of cache bandwidth follows source priorities. The
     /// partition itself ([`ScenarioSpec::psi`], [`ScenarioSpec::share`])
-    /// lives on the spec; the workload's weights are replaced by the §7
-    /// conflicted-halves pattern at lowering time.
+    /// lives on the spec; the system replaces the workload's weights by
+    /// the §7 conflicted-halves pattern.
     Competitive,
 }
 
@@ -136,15 +136,16 @@ pub struct ScenarioSpec {
 }
 
 impl Default for ScenarioSpec {
-    /// Mirrors `SystemConfig::default()` where the fields overlap, so a
+    /// Takes every run parameter from `SystemConfig::default()`, so a
     /// struct-update spec lowers to the same config a bare
     /// `..SystemConfig::default()` produced.
     fn default() -> Self {
+        let run = SystemConfig::default();
         ScenarioSpec {
             name: String::new(),
             description: String::new(),
             seed: 0,
-            sim_seed: 0,
+            sim_seed: run.sim_seed,
             system: SystemKind::Coop,
             workload: WorkloadKind::Poisson {
                 sources: 10,
@@ -153,17 +154,17 @@ impl Default for ScenarioSpec {
                 weight_range: (1.0, 10.0),
                 fluctuating_weights: true,
             },
-            policy: PolicyKind::Area,
-            estimator: RateEstimator::LongRun,
-            metric: Metric::Staleness,
-            cache_bandwidth_mean: 100.0,
-            source_bandwidth_mean: 10.0,
-            bandwidth_change_rate: 0.0,
-            alpha: 1.1,
-            omega: 10.0,
-            warmup: 100.0,
-            measure: 500.0,
-            fault: None,
+            policy: run.policy,
+            estimator: run.estimator,
+            metric: run.metric,
+            cache_bandwidth_mean: run.cache_bandwidth_mean,
+            source_bandwidth_mean: run.source_bandwidth_mean,
+            bandwidth_change_rate: run.bandwidth_change_rate,
+            alpha: run.alpha,
+            omega: run.omega,
+            warmup: run.warmup,
+            measure: run.measure,
+            fault: run.fault,
             psi: 0.0,
             share: SharePolicy::ProportionalToValue,
         }
@@ -411,8 +412,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// Lowers the system side to a [`SystemConfig`] (cooperative and
-    /// ideal schedulers).
+    /// Lowers the system side to the [`SystemConfig`] every system kind
+    /// is built from.
     pub fn system_config(&self) -> SystemConfig {
         SystemConfig {
             metric: self.metric,
@@ -431,44 +432,63 @@ impl ScenarioSpec {
         }
     }
 
-    /// Lowers the system side to a [`CgmConfig`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario's system is not a CGM variant.
-    pub fn cgm_config(&self) -> CgmConfig {
-        let SystemKind::Cgm(variant) = self.system else {
-            panic!("scenario `{}` is not a CGM scenario", self.name);
-        };
-        CgmConfig {
-            variant,
-            metric: self.metric,
-            cache_bandwidth_mean: self.cache_bandwidth_mean,
-            bandwidth_change_rate: self.bandwidth_change_rate,
-            warmup: self.warmup,
-            measure: self.measure,
-            sim_seed: self.sim_seed,
-            fault: self.fault,
-        }
-    }
-
     /// Whether the scenario's system can run it, asked at the boundaries
     /// (the codec, the sweep runner) so that a spec
     /// [`build`](Self::build) would panic on is an error there instead.
     ///
     /// # Errors
     ///
-    /// The system is competitive and the policy is not `area` (§7 derives
-    /// both priority views from the area tracker); or the fault profile
-    /// is invalid, or the system is an ideal or CGM scheduler — which
-    /// model refresh loss only — and the profile sets a field it would
-    /// have to ignore. The message names the kind and the field.
+    /// A run parameter is outside what the simulation accepts (the
+    /// message names the field); the system is competitive and Ψ is not in
+    /// `[0, 1)` or the policy is not `area` (§7 derives both priority
+    /// views from the area tracker); or the fault profile is invalid, or
+    /// the system is an ideal or CGM scheduler — which model refresh loss
+    /// only — and the profile sets a field it would have to ignore. The
+    /// message names the kind and the field.
     pub fn check(&self) -> Result<(), String> {
-        if self.system == SystemKind::Competitive && self.policy != PolicyKind::Area {
-            return Err(format!(
-                "the competitive system needs `policy` area, not {}",
-                self.policy.name()
-            ));
+        if let WorkloadKind::Poisson {
+            sources,
+            objects_per_source,
+            rate_range: (rate_lo, rate_hi),
+            weight_range: (weight_lo, weight_hi),
+            ..
+        } = self.workload
+        {
+            at_least("sources", sources.into(), 1.0)?;
+            at_least("objects_per_source", objects_per_source.into(), 1.0)?;
+            if sources.checked_mul(objects_per_source).is_none() {
+                return Err("`sources` × `objects_per_source` overflows u32".into());
+            }
+            if rate_lo.is_nan() || rate_lo <= 0.0 {
+                return Err(format!("`rate_lo` is {rate_lo}, must be > 0"));
+            }
+            at_least("rate_hi", rate_hi, rate_lo)?;
+            at_least("weight_lo", weight_lo, 0.0)?;
+            at_least("weight_hi", weight_hi, weight_lo)?;
+        }
+        at_least("cache_bandwidth_mean", self.cache_bandwidth_mean, 0.0)?;
+        at_least("source_bandwidth_mean", self.source_bandwidth_mean, 0.0)?;
+        at_least("bandwidth_change_rate", self.bandwidth_change_rate, 0.0)?;
+        at_least("alpha", self.alpha, 1.0)?;
+        at_least("omega", self.omega, 1.0)?;
+        at_least("warmup", self.warmup, 0.0)?;
+        at_least("measure", self.measure, 0.0)?;
+        if !(self.warmup + self.measure).is_finite() {
+            return Err("`warmup` + `measure` must be finite".into());
+        }
+        if self.system == SystemKind::Competitive {
+            if !(0.0..1.0).contains(&self.psi) {
+                return Err(format!(
+                    "the competitive system needs `psi` in [0, 1), not {}",
+                    self.psi
+                ));
+            }
+            if self.policy != PolicyKind::Area {
+                return Err(format!(
+                    "the competitive system needs `policy` area, not {}",
+                    self.policy.name()
+                ));
+            }
         }
         let Some(profile) = self.fault else {
             return Ok(());
@@ -496,25 +516,13 @@ impl ScenarioSpec {
             // workload's true rates are the natural seeded choice.
             cfg.bound_rates = Some(spec.rates.clone());
         }
+        let partition = || BandwidthPartition::new(self.psi, self.share);
         match self.system {
             SystemKind::Coop => ReadySystem::Coop(Box::new(CoopSystem::new(cfg, spec))),
             SystemKind::Ideal => ReadySystem::Ideal(Box::new(IdealSystem::new(cfg, spec))),
-            SystemKind::Cgm(_) => {
-                ReadySystem::Cgm(Box::new(CgmSystem::new(self.cgm_config(), spec)))
-            }
+            SystemKind::Cgm(v) => ReadySystem::Cgm(Box::new(CgmSystem::new(v, cfg, spec))),
             SystemKind::Competitive => {
-                // Both weight views are derived here, from the layout
-                // alone, so the scenario stays a plain-data value.
-                let mut wl = spec;
-                let source_weights = conflicted_halves(&mut wl);
-                ReadySystem::Competitive(Box::new(CompetitiveSystem::new(
-                    CompetitiveConfig {
-                        base: cfg,
-                        source_weights,
-                        partition: BandwidthPartition::new(self.psi, self.share),
-                    },
-                    wl,
-                )))
+                ReadySystem::Competitive(Box::new(CompetitiveSystem::new(cfg, partition(), spec)))
             }
         }
     }
@@ -542,6 +550,15 @@ impl ScenarioSpec {
         self.measure /= 10.0;
         self.cache_bandwidth_mean = (self.cache_bandwidth_mean / 4.0).max(1.0);
         self
+    }
+}
+
+/// Refuses `v` below `min` (NaN included), naming the field.
+fn at_least(field: &str, v: f64, min: f64) -> Result<(), String> {
+    if v >= min {
+        Ok(())
+    } else {
+        Err(format!("`{field}` is {v}, must be >= {min}"))
     }
 }
 
@@ -756,6 +773,44 @@ mod tests {
     #[test]
     fn cgm2_takes_loss_and_refuses_outages() {
         loss_only("cgm2_medium", "CGM2", 797, 3419, 0x3fe263b9ed623f5a);
+    }
+
+    /// One mutation per case, each a spec whose run panics: `check`
+    /// refuses every one, naming the field, so the codec and the sweep
+    /// runner never hand it to a system.
+    #[test]
+    fn check_refuses_what_the_run_would_panic_on() {
+        type Edit = fn(ScenarioSpecBuilder) -> ScenarioSpecBuilder;
+        let cases: [(&str, Edit); 18] = [
+            ("psi", |b| b.competitive(1.0, SharePolicy::EqualShare)),
+            ("psi", |b| b.competitive(f64::NAN, SharePolicy::EqualShare)),
+            ("alpha", |b| b.thresholds(0.5, 10.0)),
+            ("omega", |b| b.thresholds(1.1, 0.5)),
+            ("cache_bandwidth_mean", |b| b.bandwidth(-1.0, 3.0)),
+            ("source_bandwidth_mean", |b| b.bandwidth(6.0, -1.0)),
+            ("bandwidth_change_rate", |b| b.bandwidth_change_rate(-0.1)),
+            ("warmup", |b| b.window(f64::NAN, 40.0)),
+            ("warmup", |b| b.window(-1.0, 40.0)),
+            ("warmup", |b| b.window(f64::INFINITY, 40.0)),
+            ("measure", |b| b.window(5.0, -1.0)),
+            ("sources", |b| b.objects(0, 8)),
+            ("objects_per_source", |b| b.objects(2, 0)),
+            ("objects_per_source", |b| b.objects(1 << 16, 1 << 16)),
+            ("rate_lo", |b| b.rate_range(0.0, 0.5)),
+            ("rate_hi", |b| b.rate_range(0.5, 0.05)),
+            ("weight_lo", |b| b.weight_range(-1.0, 4.0)),
+            ("weight_hi", |b| b.weight_range(4.0, 1.0)),
+        ];
+        for (field, edit) in cases {
+            let base = ScenarioSpecBuilder {
+                spec: tiny(SystemKind::Competitive),
+            };
+            let spec = edit(base).finish();
+            let refused = spec.check().expect_err(field);
+            assert!(refused.contains(&format!("`{field}`")), "{refused}");
+            let ran = std::panic::catch_unwind(|| spec.run());
+            assert!(ran.is_err(), "`{field}`: the refusal is needed");
+        }
     }
 
     #[test]

@@ -53,6 +53,17 @@ fn any_f64() -> impl Strategy<Value = f64> {
 /// scenario presents at most 34, a report 34).
 const DRAWS: std::ops::Range<usize> = 40..41;
 
+/// Run parameters inside `ScenarioSpec::check`'s envelope: drawn from
+/// `(0, 1)`, from `[1, ∞)` (so each range's high end is above its low
+/// end), and from `[0, ∞)`.
+const LOW: [&str; 3] = ["psi", "rate_lo", "weight_lo"];
+const AT_LEAST_ONE: [&str; 4] = ["alpha", "omega", "rate_hi", "weight_hi"];
+const NON_NEGATIVE: [&str; 3] = [
+    "cache_bandwidth_mean",
+    "source_bandwidth_mean",
+    "bandwidth_change_rate",
+];
+
 /// Random scenarios, filled through the codec's own field walk so a new
 /// field — or a new optional block — is generated without touching this
 /// file: one draw per visited field, the field's type picking its part.
@@ -68,9 +79,13 @@ fn scenario() -> impl Strategy<Value = ScenarioSpec> {
                 Field::U64(v) => *v = int,
                 Field::U32(v) => *v = 1 + (int % 2000) as u32,
                 Field::Usize(v) => *v = int as usize,
-                // Fault intensities stay inside `FaultProfile::validate`'s
-                // envelope (decode rejects invalid profiles).
-                Field::F64(v) if key.starts_with("fault_") => *v = unit,
+                // Fault intensities and run parameters stay inside
+                // `FaultProfile::validate`'s and `ScenarioSpec::check`'s
+                // envelopes (encode and decode refuse the rest).
+                Field::F64(v) if key.starts_with("fault_") || LOW.contains(&key) => *v = unit,
+                Field::F64(v) if AT_LEAST_ONE.contains(&key) => *v = 1.0 + float.abs(),
+                Field::F64(v) if NON_NEGATIVE.contains(&key) => *v = float.abs(),
+                Field::F64(v) if key == "warmup" || key == "measure" => *v = float.abs() / 2.0,
                 Field::F64(v) | Field::Exact(v) => *v = float,
                 Field::Bool(v) | Field::Flag(v) => *v = int % 2 == 1,
                 Field::Choice { names, index, .. } => *index = int as usize % names.len(),

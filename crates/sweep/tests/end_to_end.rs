@@ -129,8 +129,8 @@ fn sharded_outcomes_match_in_process_bit_for_bit() {
 #[test]
 fn a_spec_its_system_cannot_run_fails_the_sweep_before_anything_runs() {
     // CGM models refresh loss only and `build()` panics on an outage
-    // rate; the competitive system panics on any policy but `area`. In a
-    // worker that panic kills the compute loop under an I/O thread that
+    // rate; the competitive system panics on any policy but `area` and
+    // on Ψ = 1. In a worker that panic kills the compute loop under an I/O thread that
     // keeps answering PINGs, so only 1 + `max_respawns` spec deadlines
     // would end the wait: the refusal has to come first.
     let mut outage = by_name("equiv_cgm1").unwrap();
@@ -141,10 +141,13 @@ fn a_spec_its_system_cannot_run_fails_the_sweep_before_anything_runs() {
     });
     let mut priced = by_name("golden_competitive_piggyback").unwrap();
     priced.policy = PolicyKind::PoissonClosedForm;
+    let mut whole = by_name("golden_competitive_piggyback").unwrap();
+    whole.psi = 1.0;
     let start = Instant::now();
     for (bad, kind, field) in [
         (outage, "CGM1", "`outage_rate`"),
         (priced, "competitive", "`policy`"),
+        (whole, "competitive", "`psi`"),
     ] {
         let specs = [by_name("small").unwrap().quick(), bad];
         for opts in [SweepOptions::default(), sharded(1)] {

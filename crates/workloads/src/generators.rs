@@ -119,7 +119,7 @@ const BUILD_CHUNK: usize = 65_536;
 /// construction time.
 ///
 /// Construction is *streaming*: the destination vectors are reserved
-/// exactly once at full size and then filled in [`BUILD_CHUNK`]-object
+/// exactly once at full size and then filled in `BUILD_CHUNK`-object
 /// chunks, rates and weights together per chunk. At the 1M-object `mega`
 /// scale this keeps the pages being written plus both RNG states hot
 /// instead of making two full cold passes over ~100 MB of spec, and the

@@ -11,7 +11,7 @@
 use besync::config::SystemConfig;
 use besync::priority::{PolicyKind, RateEstimator};
 use besync::CoopSystem;
-use besync_baselines::{CgmConfig, CgmSystem, CgmVariant};
+use besync_baselines::{CgmSystem, CgmVariant};
 use besync_data::{Metric, WeightProfile};
 use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
 use besync_workloads::WorkloadSpec;
@@ -47,7 +47,7 @@ fn main() {
 
     for budget_fraction in [0.05, 0.15, 0.3] {
         let bandwidth = budget_fraction * total_pages as f64;
-        let coop_cfg = SystemConfig {
+        let cfg = SystemConfig {
             metric: Metric::Staleness,
             policy: PolicyKind::PoissonClosedForm,
             estimator: RateEstimator::LongRun,
@@ -57,25 +57,24 @@ fn main() {
             measure: 600.0,
             ..SystemConfig::default()
         };
-        let ours = CoopSystem::new(coop_cfg, crawl_workload(9)).run();
-
-        let cgm_cfg = CgmConfig {
-            variant: CgmVariant::Cgm1,
-            cache_bandwidth_mean: bandwidth,
-            warmup: 100.0,
-            measure: 600.0,
-            ..CgmConfig::default()
-        };
-        let cgm = CgmSystem::new(cgm_cfg, crawl_workload(9)).run();
+        // The crawler runs under the same conditions; it ignores the
+        // sources' policy and bandwidth.
+        let ours = CoopSystem::new(cfg.clone(), crawl_workload(9)).run();
+        let cgm = CgmSystem::new(CgmVariant::Cgm1, cfg, crawl_workload(9)).run();
 
         let coop_d = ours.mean_weighted_divergence();
         let cgm_d = cgm.mean_weighted_divergence();
+        let advantage = if coop_d > 0.0 {
+            format!("{:.1}", cgm_d / coop_d)
+        } else {
+            "∞".to_string()
+        };
         println!(
-            "{:>10.0}%      {:>11.4}      {:>14.4}   {:>8.1}x",
+            "{:>10.0}%      {:>11.4}      {:>14.4}   {:>8}x",
             budget_fraction * 100.0,
             coop_d,
             cgm_d,
-            cgm_d / coop_d.max(1e-9),
+            advantage,
         );
     }
 
