@@ -186,12 +186,6 @@ impl SourceRuntime {
         self.delivery = Some(DeliveryEstimator::new(sim_seed, self.id.0));
     }
 
-    /// Current delivery-probability estimate (1.0 when the estimator is
-    /// disabled). Exposed for tests and diagnostics.
-    pub fn delivery_estimate(&self) -> f64 {
-        self.delivery.as_ref().map_or(1.0, |e| e.value())
-    }
-
     /// Folds a piggybacked cache ack (the cache's cumulative delivered
     /// count for this source) into the delivery estimator. No-op when
     /// the estimator is disabled.

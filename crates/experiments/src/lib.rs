@@ -16,15 +16,20 @@
 //! competitive system and the CGM baselines — is a handler on the one
 //! event kernel (`besync::kernel`), so figure regeneration takes the
 //! fast path throughout; CI's experiments-smoke job regenerates the
-//! quick fig4/5/6 and §7 grids on every PR.
+//! quick fig4/5/6, §7 and loss grids on every PR.
+//!
+//! [`record`] writes the two records `cargo test` holds the tree to,
+//! `COUNTERS_baseline.txt` and `STATS_baseline.txt`.
 
 pub mod bounds;
 pub mod competitive;
+pub mod faults;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod output;
 pub mod params;
+pub mod record;
 pub mod sampling;
 pub mod validate;
 

@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// A typed experiment row that knows how to print itself.
@@ -55,12 +54,17 @@ pub fn render_csv<R: Row>(rows: &[R]) -> String {
     out
 }
 
-/// Writes rows to `results/<name>.csv` relative to `dir`, creating the
-/// directory if needed. Returns the path written.
-pub fn write_csv<R: Row>(dir: &Path, name: &str, rows: &[R]) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
+/// Writes rows to `<name>.csv` in `dir`, creating the directory if
+/// needed. Returns the path written.
+///
+/// # Errors
+///
+/// A directory or file that cannot be written, naming the path.
+pub fn write_csv<R: Row>(dir: &Path, name: &str, rows: &[R]) -> Result<PathBuf, String> {
     let path = dir.join(format!("{name}.csv"));
-    fs::write(&path, render_csv(rows))?;
+    fs::create_dir_all(dir)
+        .and_then(|()| fs::write(&path, render_csv(rows)))
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
     Ok(path)
 }
 

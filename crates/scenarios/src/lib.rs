@@ -1,8 +1,8 @@
 //! Shared scenario layer.
 //!
-//! Every consumer of the simulator — the `besync-bench` counter
-//! gate, the figure-regeneration experiments, and the trajectory
-//! tests — used to hand-roll its own workload + config
+//! Every consumer of the simulator — the counter gate, the
+//! figure-regeneration experiments, and the trajectory tests — used to
+//! hand-roll its own workload + config
 //! construction. This crate replaces those with one declarative
 //! [`ScenarioSpec`]: a plain-data description of a run (system kind,
 //! object layout, rate/weight regimes, policy, metric, bandwidth waves
@@ -24,8 +24,8 @@
 //!   future sweep-sharding runner will distribute.
 //!
 //! The named registry in [`suite`](mod@suite) holds the bench scenario set (by
-//! `name`, with one-line descriptions for `besync-bench --list`) and the
-//! small golden scenarios, so each definition exists exactly once.
+//! `name`, each with a one-line description) and the small golden
+//! scenarios, so each definition exists exactly once.
 
 pub mod codec;
 pub mod spec;

@@ -89,9 +89,9 @@ pub enum WorkloadKind {
 /// construction.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
-    /// Registry name (`besync-bench --only`, the counter record's key).
+    /// Registry name (the key of both records and of [`crate::by_name`]).
     pub name: String,
-    /// One-line description for `besync-bench --list`.
+    /// One-line description of the regime.
     pub description: String,
     /// Workload seed: drives parameter draws and per-object update RNG.
     pub seed: u64,
@@ -215,7 +215,7 @@ pub struct ScenarioSpecBuilder {
 }
 
 impl ScenarioSpecBuilder {
-    /// One-line description for `besync-bench --list`.
+    /// One-line description of the regime.
     pub fn description(mut self, description: impl Into<String>) -> Self {
         self.spec.description = description.into();
         self
@@ -537,8 +537,8 @@ impl ScenarioSpec {
         self.build().run()
     }
 
-    /// CI-scale variant: same shape, a fraction of the work (the scaling
-    /// `besync-bench --quick` has always applied).
+    /// CI-scale variant: same shape, a fraction of the work (the quick
+    /// scale of the counter record).
     pub fn quick(mut self) -> Self {
         if let WorkloadKind::Poisson {
             ref mut sources, ..

@@ -1,10 +1,11 @@
 //! The named scenario registry.
 //!
 //! [`suite`] is the bench regime set; [`goldens`] holds the entries
-//! small enough for tier-1 to replay at native scale. `besync-bench`
-//! gates [`all`] of them against `COUNTERS_baseline.txt` at both
-//! scales, and `cargo test` (`tests/counter_gate.rs`) replays the quick
-//! scale plus the goldens as registered. Each definition exists exactly
+//! small enough for tier-1 to replay at native scale.
+//! `experiments record-counters` records [`all`] of them in
+//! `COUNTERS_baseline.txt` at both scales; `cargo test`
+//! (`tests/counter_gate.rs`) replays the quick scale plus the goldens
+//! as registered, and its ignored full-scale test replays the rest. Each definition exists exactly
 //! once, here, and is referenced by name everywhere else. Every entry is assembled through
 //! [`ScenarioSpec::builder`]; the builder starts from
 //! [`ScenarioSpec::default`], so each chain states only what the

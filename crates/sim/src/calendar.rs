@@ -146,11 +146,6 @@ impl CalendarQueue {
         self.auto_resize = on;
     }
 
-    /// Whether occupancy/rate monitoring is active.
-    pub fn auto_resize(&self) -> bool {
-        self.auto_resize
-    }
-
     /// Number of bucket-array rebuilds performed so far.
     pub fn resizes(&self) -> u64 {
         self.resizes
@@ -164,11 +159,6 @@ impl CalendarQueue {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The configured bucket width in seconds.
-    pub fn bucket_width(&self) -> f64 {
-        self.delta
     }
 
     /// The time of the most recently popped event (the simulation clock).

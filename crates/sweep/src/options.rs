@@ -48,7 +48,7 @@ pub enum WorkerSpawn {
     /// Re-exec [`std::env::current_exe`] with the hidden
     /// [`crate::WORKER_FLAG`] argument. Requires the current binary to
     /// dispatch to [`crate::worker_main`] on that flag — the
-    /// `experiments` and `besync-bench` binaries do.
+    /// `experiments` binary does.
     CurrentExe,
     /// Run an explicit command (program, arguments). Used by test
     /// harnesses, whose own binary (libtest) cannot dispatch the flag.

@@ -7,8 +7,8 @@
 //! pinned from then on. [`record`] writes that text, [`compare`] holds a
 //! run to it on every walked field, bit for bit, and names the scenario
 //! and the wire key of whatever moved. Both work on text in memory:
-//! `besync-bench --record/--compare` and the tier-1 test
-//! `tests/counter_gate.rs` are the two callers that bring a file.
+//! `experiments record-counters` brings the file to [`record`], and the
+//! tier-1 test `tests/counter_gate.rs` brings it to [`compare`].
 
 use besync::RunReport;
 use besync_scenarios::{codec, ScenarioSpec};
@@ -67,11 +67,16 @@ pub fn parse(text: &str) -> Result<Vec<Entry>, String> {
     Ok(entries)
 }
 
-/// The record `text` with this run's entries replaced (or appended),
-/// entries of the other scale and of scenarios not in `run` left as
-/// they were.
+/// The record `text` with this run's entries replaced (or appended).
+/// Entries at a scale the run does not cover are left as they were;
+/// entries at a scale it covers whose scenario it lacks are dropped,
+/// the mirror of [`compare`]'s rule for a run over the whole registry.
 pub fn record(text: &str, run: Vec<Entry>) -> Result<String, String> {
     let mut entries = parse(text)?;
+    entries.retain(|old| {
+        let covered = run.iter().any(|now| now.quick == old.quick);
+        !covered || run.iter().any(|now| same(old, now))
+    });
     for new in run {
         match entries.iter_mut().find(|old| same(old, &new)) {
             Some(old) => *old = new,

@@ -64,23 +64,13 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Stable CLI name.
+    /// Name for reports and failure messages.
     pub fn name(self) -> &'static str {
         match self {
             Tier::Strict => "strict",
             Tier::Standard => "standard",
             Tier::Loose => "loose",
         }
-    }
-
-    /// Inverse of [`Tier::name`].
-    pub fn parse(s: &str) -> Option<Tier> {
-        Some(match s {
-            "strict" => Tier::Strict,
-            "standard" => Tier::Standard,
-            "loose" => Tier::Loose,
-            _ => return None,
-        })
     }
 
     /// Threshold for the mean z-statistic.
@@ -101,6 +91,27 @@ impl Tier {
         self.z_mean() + 1.0
     }
 }
+
+/// The scenarios `STATS_baseline.txt` holds: the headline coop scenario,
+/// one per figure-regeneration scheduler (so the gate covers every
+/// system kind), and the medium fault regimes (the loss and outage
+/// physics, the fault-aware estimator, a lossy competitive split).
+pub const STATS_SCENARIOS: [&str; 8] = [
+    "medium",
+    "ideal_medium",
+    "cgm1_medium",
+    "cgm2_medium",
+    "lossy_medium",
+    "outage_medium",
+    "lossy_aware_medium",
+    "competitive_lossy",
+];
+
+/// Derived seeds per [`STATS_SCENARIOS`] entry at quick scale.
+pub const QUICK_SEEDS: u32 = 8;
+
+/// Derived seeds per [`STATS_SCENARIOS`] entry at full scale.
+pub const FULL_SEEDS: u32 = 32;
 
 /// The per-run metrics the harness records, in recording order.
 ///
@@ -296,10 +307,6 @@ mod tests {
 
     #[test]
     fn tier_names_round_trip() {
-        for t in [Tier::Strict, Tier::Standard, Tier::Loose] {
-            assert_eq!(Tier::parse(t.name()), Some(t));
-        }
-        assert_eq!(Tier::parse("bogus"), None);
         assert!(Tier::Strict.z_mean() < Tier::Standard.z_mean());
         assert!(Tier::Standard.z_mean() < Tier::Loose.z_mean());
     }

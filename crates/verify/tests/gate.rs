@@ -1,9 +1,8 @@
 //! The counter gate's failure modes, on text in memory: every way a
 //! record can disagree with a run — a moved counter, a moved float bit,
 //! a missing entry, another seed, a cut-off file — is a failure that says
-//! what disagreed. (`crates/bench/tests/gate.rs` drives the same gate
-//! through the built binary; `tests/counter_gate.rs` holds the tree to
-//! the checked-in record.)
+//! what disagreed. (`tests/counter_gate.rs` holds the tree to the
+//! checked-in record, in-process and through worker processes.)
 
 use besync_scenarios::by_name;
 use besync_verify::counters::{compare, record, Entry};
@@ -78,17 +77,25 @@ fn a_truncated_or_garbled_file_fails() {
 
 #[test]
 fn recording_keeps_foreign_entries_bit_for_bit() {
-    // An entry of another scenario, with every extreme the wire format
+    // An entry at the other scale, with every extreme the wire format
     // has (2^64 - 1 counters, NaN payloads, -0), survives a record of
     // `small` into the same text unchanged.
     let exotic = include_str!("../../scenarios/tests/wire/exotic_report.txt");
-    let ghost = format!("scenario ghost seed 18446744073709551615 quick true\n{exotic}");
-    let text = record(&ghost, run("small")).unwrap();
-    assert!(text.starts_with(&ghost), "{text}");
-    assert!(text.contains("\nscenario small seed 101 quick true\n"));
+    let ghost = format!("scenario ghost seed 18446744073709551615 quick false\n{exotic}");
+    // An entry at the run's scale whose scenario the run lacks is a
+    // scenario that left the registry: a comparison over the whole
+    // registry refuses it, and a re-record drops it.
+    let gone = format!("scenario gone seed 1 quick true\n{exotic}");
+    let old = format!("{ghost}\n{gone}");
     let now = run("small");
-    compare(&text, &now, false).unwrap();
-    // Over the whole registry the ghost would be a scenario that is gone.
-    let refusal = compare(&text, &now, true).unwrap_err();
-    assert_eq!(refusal, "`ghost` is recorded but not in the registry");
+    let refusal = compare(&old, &now, true).unwrap_err();
+    assert!(
+        refusal.contains("`gone` is recorded but not in the registry"),
+        "{refusal}"
+    );
+    let text = record(&old, run("small")).unwrap();
+    assert!(text.starts_with(&ghost), "{text}");
+    assert!(!text.contains("scenario gone "), "{text}");
+    assert!(text.contains("\nscenario small seed 101 quick true\n"));
+    compare(&text, &now, true).unwrap();
 }

@@ -5,16 +5,18 @@
 //! reproduce the recorded report on every walked field, bit for bit,
 //! the §7 sources' objective included. A mismatch names the scenario and
 //! the wire key that moved. This is the only place a trajectory is
-//! pinned: there are no hand-typed golden constants. The release-mode
-//! `besync-bench --compare COUNTERS_baseline.txt` holds the 22 suite
-//! regimes to their full-scale entries the same way.
+//! pinned: there are no hand-typed golden constants. The ignored
+//! full-scale test holds every registry scenario, the 22 suite regimes
+//! included, to its entry as registered the same way (CI runs it with
+//! `cargo test --release --test counter_gate -- --ignored`), and
+//! `tests/sweep_equivalence.rs` replays the quick scale through worker
+//! processes.
 //!
-//! A change that is *meant* to move a trajectory re-records, at both
-//! scales, and says so in its commit message:
+//! A change that is *meant* to move a trajectory re-records both scales
+//! of the whole registry, and says so in its commit message:
 //!
 //! ```sh
-//! cargo run -p besync-bench --release -- --record COUNTERS_baseline.txt
-//! cargo run -p besync-bench --release -- --record COUNTERS_baseline.txt --quick
+//! cargo run --release -p besync_experiments -- record-counters --out .
 //! ```
 
 use std::sync::OnceLock;
@@ -62,6 +64,28 @@ fn the_registry_reproduces_the_record() {
         "{}\nif the simulation was meant to move, re-record (see the top of this file)",
         moved.join("\n")
     );
+}
+
+/// Every registry scenario as registered — the million-object `mega`
+/// regimes included — against its full-scale entry.
+#[test]
+#[ignore = "full-scale: run with --release (CI counter-gate job)"]
+fn the_registry_reproduces_the_record_at_full_scale() {
+    let specs = all();
+    let outcomes = sweep(&specs, &SweepOptions::default())
+        .expect("the registry sweeps in-process")
+        .into_outcomes();
+    let run: Vec<Entry> = specs
+        .iter()
+        .zip(outcomes)
+        .map(|(spec, outcome)| Entry::new(spec, false, outcome.report))
+        .collect();
+    if let Err(moved) = compare(RECORD, &run, true) {
+        panic!(
+            "at full scale:\n{moved}\nif the simulation was meant to move, re-record \
+             (see the top of this file)"
+        );
+    }
 }
 
 /// One digit of one entry, edited in a copy of the record, is a failure

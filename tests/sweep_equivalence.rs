@@ -180,6 +180,31 @@ fn fault_aware_regimes_are_byte_identical_across_shards() {
     }
 }
 
+/// Every registry scenario at quick scale, run through two worker
+/// processes, reproduces `COUNTERS_baseline.txt` bit for bit: the spec
+/// codec, the protocol and the merge order lose nothing
+/// (`tests/counter_gate.rs` holds the in-process run to the same record).
+#[test]
+fn the_quick_registry_reproduces_the_record_through_two_workers() {
+    use besync_verify::counters::{compare, Entry};
+    let specs: Vec<_> = besync_scenarios::all()
+        .into_iter()
+        .map(|s| s.quick())
+        .collect();
+    let outcomes = besync_sweep::sweep(&specs, &opts(Shards::Workers(2)))
+        .unwrap()
+        .into_outcomes();
+    let run: Vec<Entry> = specs
+        .iter()
+        .zip(outcomes)
+        .map(|(spec, outcome)| Entry::new(spec, true, outcome.report))
+        .collect();
+    let record = include_str!("../COUNTERS_baseline.txt");
+    if let Err(moved) = compare(record, &run, true) {
+        panic!("through two workers:\n{moved}");
+    }
+}
+
 #[test]
 fn worker_killed_mid_grid_still_merges_byte_identically() {
     let in_process = fig4_in_process();
