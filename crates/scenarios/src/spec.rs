@@ -446,25 +446,36 @@ impl ScenarioSpec {
     /// only — and the profile sets a field it would have to ignore. The
     /// message names the kind and the field.
     pub fn check(&self) -> Result<(), String> {
-        if let WorkloadKind::Poisson {
-            sources,
-            objects_per_source,
-            rate_range: (rate_lo, rate_hi),
-            weight_range: (weight_lo, weight_hi),
-            ..
-        } = self.workload
-        {
-            at_least("sources", sources.into(), 1.0)?;
-            at_least("objects_per_source", objects_per_source.into(), 1.0)?;
-            if sources.checked_mul(objects_per_source).is_none() {
-                return Err("`sources` × `objects_per_source` overflows u32".into());
+        match self.workload {
+            WorkloadKind::Poisson {
+                sources,
+                objects_per_source,
+                rate_range: (rate_lo, rate_hi),
+                weight_range: (weight_lo, weight_hi),
+                ..
+            } => {
+                at_least("sources", sources.into(), 1.0)?;
+                at_least("objects_per_source", objects_per_source.into(), 1.0)?;
+                if sources.checked_mul(objects_per_source).is_none() {
+                    return Err("`sources` × `objects_per_source` overflows u32".into());
+                }
+                positive("rate_lo", rate_lo)?;
+                at_least("rate_hi", rate_hi, rate_lo)?;
+                at_least("weight_lo", weight_lo, 0.0)?;
+                at_least("weight_hi", weight_hi, weight_lo)?;
             }
-            if rate_lo.is_nan() || rate_lo <= 0.0 {
-                return Err(format!("`rate_lo` is {rate_lo}, must be > 0"));
+            WorkloadKind::Buoy { config } => {
+                at_least("buoys", config.buoys.into(), 1.0)?;
+                at_least("components", config.components.into(), 1.0)?;
+                if config.buoys.checked_mul(config.components).is_none() {
+                    return Err("`buoys` × `components` overflows u32".into());
+                }
+                positive("sample_interval", config.sample_interval)?;
+                positive("duration", config.duration)?;
+                if !config.duration.is_finite() {
+                    return Err("`duration` must be finite".into());
+                }
             }
-            at_least("rate_hi", rate_hi, rate_lo)?;
-            at_least("weight_lo", weight_lo, 0.0)?;
-            at_least("weight_hi", weight_hi, weight_lo)?;
         }
         at_least("cache_bandwidth_mean", self.cache_bandwidth_mean, 0.0)?;
         at_least("source_bandwidth_mean", self.source_bandwidth_mean, 0.0)?;
@@ -559,6 +570,14 @@ fn at_least(field: &str, v: f64, min: f64) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("`{field}` is {v}, must be >= {min}"))
+    }
+}
+
+fn positive(field: &str, v: f64) -> Result<(), String> {
+    if v > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("`{field}` is {v}, must be > 0"))
     }
 }
 
@@ -775,13 +794,20 @@ mod tests {
         loss_only("cgm2_medium", "CGM2", 797, 3419, 0x3fe263b9ed623f5a);
     }
 
+    /// `b` with the quick buoy workload, edited.
+    fn buoy(b: ScenarioSpecBuilder, edit: fn(&mut BuoyConfig)) -> ScenarioSpecBuilder {
+        let mut config = BuoyConfig::quick();
+        edit(&mut config);
+        b.buoy(config)
+    }
+
     /// One mutation per case, each a spec whose run panics: `check`
     /// refuses every one, naming the field, so the codec and the sweep
     /// runner never hand it to a system.
     #[test]
     fn check_refuses_what_the_run_would_panic_on() {
         type Edit = fn(ScenarioSpecBuilder) -> ScenarioSpecBuilder;
-        let cases: [(&str, Edit); 18] = [
+        let cases: [(&str, Edit); 25] = [
             ("psi", |b| b.competitive(1.0, SharePolicy::EqualShare)),
             ("psi", |b| b.competitive(f64::NAN, SharePolicy::EqualShare)),
             ("alpha", |b| b.thresholds(0.5, 10.0)),
@@ -800,6 +826,17 @@ mod tests {
             ("rate_hi", |b| b.rate_range(0.5, 0.05)),
             ("weight_lo", |b| b.weight_range(-1.0, 4.0)),
             ("weight_hi", |b| b.weight_range(4.0, 1.0)),
+            ("buoys", |b| buoy(b, |c| c.buoys = 0)),
+            ("components", |b| buoy(b, |c| c.components = 0)),
+            ("components", |b| {
+                buoy(b, |c| (c.buoys, c.components) = (1 << 16, 1 << 16))
+            }),
+            ("sample_interval", |b| buoy(b, |c| c.sample_interval = 0.0)),
+            ("sample_interval", |b| {
+                buoy(b, |c| c.sample_interval = f64::NAN)
+            }),
+            ("duration", |b| buoy(b, |c| c.duration = 0.0)),
+            ("duration", |b| buoy(b, |c| c.duration = f64::INFINITY)),
         ];
         for (field, edit) in cases {
             let base = ScenarioSpecBuilder {

@@ -20,11 +20,15 @@
 
 use crate::time::SimTime;
 
+/// End of a bucket chain.
+const NIL: u32 = u32::MAX;
+
+/// The pending event of one slot, and the next slot in its bucket's chain.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Node {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    next: u32,
 }
 
 /// A calendar (bucket) queue keyed by [`SimTime`]: amortized O(1)
@@ -32,12 +36,14 @@ struct Entry {
 /// the paper's simulations.
 ///
 /// Time is divided into buckets of fixed width `delta`; bucket `⌊t/δ⌋`
-/// (mod a power-of-two bucket count) holds the events of that window, as a
-/// small unordered `Vec`. Popping scans the current bucket for the minimum
-/// `(time, seq)` entry — buckets hold ~1 entry when `delta` matches the
-/// mean event spacing — and walks forward through empty buckets one
-/// comparison each. Unlike a binary heap, no operation chases pointers
-/// through log n cache lines: the hot bucket is one contiguous line.
+/// (mod a power-of-two bucket count) holds the events of that window, as
+/// an unordered chain threaded through a flat per-slot node array (each
+/// slot has at most one pending event, so it needs exactly one node).
+/// Scheduling links the slot's node at its bucket's head — one random
+/// access, no allocation. Popping walks the current bucket's chain for
+/// the minimum `(time, seq)` entry — buckets hold ~1 entry when `delta`
+/// matches the mean event spacing — and walks forward through empty
+/// buckets one comparison each.
 ///
 /// Ordering contract: ascending time, FIFO within an instant via a
 /// global schedule seq (equal times always land in the same bucket,
@@ -47,16 +53,17 @@ struct Entry {
 /// needs: `schedule` and `pop_at_or_before`. No cancel, no in-place
 /// reschedule — a slot must not be scheduled twice (callers keep at most
 /// one pending event per slot; debug builds track a per-slot pending flag
-/// and panic on violation, release builds carry no such bookkeeping).
+/// and panic on violation, release builds carry no such bookkeeping, and
+/// a second schedule there would corrupt the slot's chain).
 ///
 /// # Self-resizing
 ///
-/// Large queues (≥ [`RESIZE_AUTO_MIN_BUCKETS`] buckets) monitor their own
-/// occupancy and observed event rate and rebuild the bucket array when
-/// either drifts out of band — see [`CalendarQueue::set_auto_resize`].
-/// A rebuild redistributes every pending entry under the new bucket
-/// width/count and restarts the scan at `now`'s window. Pop order is
-/// unaffected **by construction**: `pop_at_or_before` always returns the
+/// Large queues (≥ 1024 buckets) monitor their own occupancy and
+/// observed event rate and rebuild the bucket array when either drifts
+/// out of band — see [`CalendarQueue::set_auto_resize`]. A rebuild
+/// redistributes every pending entry under the new bucket width/count
+/// and restarts the scan at `now`'s window. Pop order is unaffected
+/// **by construction**: `pop_at_or_before` always returns the
 /// global `(time, seq)` minimum among pending entries regardless of
 /// bucket geometry (entries in earlier absolute windows have strictly
 /// earlier times, equal times share a window, and the within-window scan
@@ -66,7 +73,10 @@ struct Entry {
 /// for the monitoring.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
-    buckets: Vec<Vec<Entry>>,
+    /// Each bucket's first pending slot, or `NIL`.
+    head: Vec<u32>,
+    /// Indexed by slot: its pending event and chain link.
+    nodes: Vec<Node>,
     /// Debug-only guard for the one-pending-event-per-slot contract.
     #[cfg(debug_assertions)]
     pending: Vec<bool>,
@@ -98,7 +108,7 @@ pub struct CalendarQueue {
 /// Queues created with at least this many buckets enable auto-resizing;
 /// smaller ones keep the fixed-width path (overridable either way via
 /// [`CalendarQueue::set_auto_resize`]).
-pub const RESIZE_AUTO_MIN_BUCKETS: usize = 1024;
+const RESIZE_AUTO_MIN_BUCKETS: usize = 1024;
 
 /// Resize conditions are evaluated once per this many `schedule` calls,
 /// so steady state pays one decrement-and-branch per event.
@@ -108,10 +118,10 @@ const RESIZE_CHECK_STRIDE: u32 = 1024;
 const RESIZE_MIN_EPOCH_POPS: u64 = 256;
 
 impl CalendarQueue {
-    /// Creates a queue sized for about `slots` concurrently pending
-    /// events whose typical spacing is `mean_gap` seconds (the bucket
-    /// width). The bucket count is `slots` rounded up to a power of two,
-    /// so average occupancy stays near one entry per bucket.
+    /// Creates a queue for slots `0..slots` whose events' typical
+    /// spacing is `mean_gap` seconds (the bucket width). The bucket count
+    /// is `slots` rounded up to a power of two, so average occupancy stays
+    /// near one entry per bucket.
     pub fn new(slots: usize, mean_gap: f64) -> Self {
         let delta = if mean_gap.is_finite() && mean_gap > 0.0 {
             mean_gap.clamp(1e-6, 3600.0)
@@ -119,8 +129,14 @@ impl CalendarQueue {
             1.0
         };
         let count = slots.max(2).next_power_of_two();
+        let idle = Node {
+            at: SimTime::ZERO,
+            seq: 0,
+            next: NIL,
+        };
         CalendarQueue {
-            buckets: vec![Vec::new(); count],
+            head: vec![NIL; count],
+            nodes: vec![idle; slots.max(2)],
             #[cfg(debug_assertions)]
             pending: vec![false; slots.max(2)],
             mask: count as u64 - 1,
@@ -177,7 +193,9 @@ impl CalendarQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is before the current simulation time.
+    /// Panics if `at` is before the current simulation time or behind the
+    /// scan window, or if `slot` is outside the range given to
+    /// [`new`](CalendarQueue::new).
     pub fn schedule(&mut self, slot: u32, at: SimTime) {
         assert!(
             at >= self.now,
@@ -212,7 +230,12 @@ impl CalendarQueue {
         let seq = self.seq;
         self.seq += 1;
         let b = (abs & self.mask) as usize;
-        self.buckets[b].push(Entry { at, seq, slot });
+        self.nodes[slot as usize] = Node {
+            at,
+            seq,
+            next: self.head[b],
+        };
+        self.head[b] = slot;
         self.len += 1;
     }
 
@@ -226,33 +249,42 @@ impl CalendarQueue {
         let limit_abs = self.abs_bucket(limit);
         loop {
             let b = (self.cur_abs & self.mask) as usize;
-            let bucket = &self.buckets[b];
             // Min (time, seq) among entries belonging to this absolute
-            // bucket (aliases from other "years" are skipped).
-            let mut best: Option<(usize, SimTime, u64)> = None;
-            for (i, e) in bucket.iter().enumerate() {
-                if self.abs_bucket(e.at) != self.cur_abs {
-                    continue;
+            // bucket (aliases from other "years" are skipped), with the
+            // chain position it is linked from (`NIL`: the head).
+            let mut best: Option<(u32, u32, SimTime, u64)> = None;
+            let mut prev = NIL;
+            let mut i = self.head[b];
+            while i != NIL {
+                let n = self.nodes[i as usize];
+                if self.abs_bucket(n.at) == self.cur_abs {
+                    match best {
+                        Some((_, _, bat, bseq)) if (bat, bseq) <= (n.at, n.seq) => {}
+                        _ => best = Some((i, prev, n.at, n.seq)),
+                    }
                 }
-                match best {
-                    Some((_, bat, bseq)) if (bat, bseq) <= (e.at, e.seq) => {}
-                    _ => best = Some((i, e.at, e.seq)),
-                }
+                prev = i;
+                i = n.next;
             }
             match best {
-                Some((i, at, _)) => {
+                Some((slot, prev, at, _)) => {
                     if at > limit {
                         return None;
                     }
-                    let e = self.buckets[b].swap_remove(i);
+                    let next = self.nodes[slot as usize].next;
+                    if prev == NIL {
+                        self.head[b] = next;
+                    } else {
+                        self.nodes[prev as usize].next = next;
+                    }
                     self.len -= 1;
                     self.epoch_pops += 1;
-                    self.now = e.at;
+                    self.now = at;
                     #[cfg(debug_assertions)]
                     {
-                        self.pending[e.slot as usize] = false;
+                        self.pending[slot as usize] = false;
                     }
-                    return Some((e.at, e.slot));
+                    return Some((at, slot));
                 }
                 None => {
                     // This bucket window is drained; move on — but never
@@ -282,7 +314,7 @@ impl CalendarQueue {
         if epoch_pops < RESIZE_MIN_EPOCH_POPS {
             return;
         }
-        let count = self.buckets.len();
+        let count = self.head.len();
         let mut new_count = count;
         if self.len >= count.saturating_mul(2) {
             new_count = self.len.next_power_of_two();
@@ -310,21 +342,19 @@ impl CalendarQueue {
     /// pop stream is bit-identical to a queue that never resized.
     fn rebuild(&mut self, new_count: usize, new_delta: f64) {
         debug_assert!(new_count.is_power_of_two());
-        let mut entries: Vec<Entry> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            entries.append(b);
-        }
-        if new_count != self.buckets.len() {
-            self.buckets.clear();
-            self.buckets.resize(new_count, Vec::new());
-        }
+        let old = std::mem::replace(&mut self.head, vec![NIL; new_count]);
         self.mask = new_count as u64 - 1;
         self.delta = new_delta;
         self.inv_delta = 1.0 / new_delta;
         self.cur_abs = self.abs_bucket(self.now);
-        for e in entries {
-            let b = (self.abs_bucket(e.at) & self.mask) as usize;
-            self.buckets[b].push(e);
+        for mut i in old {
+            while i != NIL {
+                let Node { at, next, .. } = self.nodes[i as usize];
+                let b = (self.abs_bucket(at) & self.mask) as usize;
+                self.nodes[i as usize].next = self.head[b];
+                self.head[b] = i;
+                i = next;
+            }
         }
         self.resizes += 1;
     }
@@ -394,6 +424,27 @@ mod tests {
         let mut q = CalendarQueue::new(2, 1.0);
         q.schedule(0, t(2.0));
         q.pop_at_or_before(far());
+        q.schedule(1, t(1.0));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "scheduled while already pending")]
+    fn rejects_a_second_pending_event_on_one_slot() {
+        let mut q = CalendarQueue::new(2, 1.0);
+        q.schedule(0, t(1.0));
+        q.schedule(0, t(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the scan window")]
+    fn rejects_events_behind_the_scan_window() {
+        // An exhausted pop moves the scan up to the limit's window while
+        // the clock stays put: t = 1 is not before `now` but is behind
+        // the scan.
+        let mut q = CalendarQueue::new(2, 1.0);
+        q.schedule(0, t(5.0));
+        assert_eq!(q.pop_at_or_before(t(3.0)), None);
         q.schedule(1, t(1.0));
     }
 

@@ -2,8 +2,9 @@
 //! reproduction.
 //!
 //! This crate is deliberately independent of the caching domain: it provides
-//! a simulated clock ([`SimTime`]), the deterministic bucket-based event
-//! scheduler the simulation event loop uses ([`CalendarQueue`]), the
+//! a simulated clock ([`SimTime`]), the deterministic calendar-queue
+//! event scheduler the simulation event loop uses ([`CalendarQueue`]:
+//! bucket chains threaded through one flat node per slot), the
 //! position-indexed heap the domain crates' priority schedulers share
 //! ([`IndexedHeap`]),
 //! time-varying signals ([`Wave`]) used to model fluctuating bandwidth

@@ -237,6 +237,63 @@ proptest! {
         );
     }
 
+    /// A fixed-width CalendarQueue whose buckets are dense pops the
+    /// identical stream as a BinaryHeap oracle. The bucket width
+    /// (`mean_gap`) sits far above the spread of near-term event times,
+    /// so most pending events share one or two buckets and chains run
+    /// tens to hundreds of entries long; a share of events is scheduled
+    /// whole calendar years ahead and aliases into those same chains.
+    /// Random schedules and pops then unlink at a chain's head, middle
+    /// and tail, and skip other years' entries.
+    #[test]
+    fn calendar_dense_buckets_match_binary_heap_oracle(
+        slots in 16u32..512,
+        target_share in 0.1f64..1.0,
+        alias_every in 2u64..8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mean_gap = 100.0;
+        let mut q = CalendarQueue::new(slots as usize, mean_gap);
+        q.set_auto_resize(false);
+        let year = (slots as usize).next_power_of_two() as f64 * mean_gap;
+        let target = ((slots as f64 * target_share) as usize).max(10);
+        let mut oracle: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut free: Vec<u32> = (0..slots).collect();
+        let mut state = seed | 1;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..6000 {
+            // Mostly hold the population near `target`; one step in eight
+            // goes the other way, so chains grow and shrink.
+            let grow = (oracle.len() < target) != (rnd() % 8 == 0);
+            if grow && !free.is_empty() {
+                let slot = free.swap_remove((rnd() as usize) % free.len());
+                let years = if rnd() % alias_every == 0 { 1 + rnd() % 3 } else { 0 };
+                // Quantized gaps make same-instant ties common.
+                let gap = (rnd() % 32) as f64 * 0.5 + years as f64 * year;
+                let at = q.now() + gap;
+                q.schedule(slot, at);
+                oracle.push(Reverse((at, seq, slot)));
+                seq += 1;
+            } else if let Some(&Reverse((at, _, slot))) = oracle.peek() {
+                let limit = if rnd() % 2 == 0 { at } else { SimTime::new(1e15) };
+                prop_assert_eq!(q.pop_at_or_before(limit), Some((at, slot)));
+                oracle.pop();
+                free.push(slot);
+            }
+        }
+        while let Some(Reverse((at, _, slot))) = oracle.pop() {
+            prop_assert_eq!(q.pop_at_or_before(SimTime::new(1e15)), Some((at, slot)));
+        }
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.resizes(), 0);
+    }
+
     /// Resize-enabled and fixed-width queues pop bit-identical
     /// (time, slot) streams for the same schedule sequence, clocks in
     /// lockstep — the goldens' bit-identity guarantee, distilled.
