@@ -14,7 +14,7 @@ use crate::threshold::{expected_feedback_period, ThresholdParams};
 /// it: the §5 protocol, its §7 extension, the §3.3 ideal scheduler and
 /// the §6.3 CGM pollers (which read the metric, tick, window, cache link,
 /// seed and fault profile, and nothing else).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SystemConfig {
     /// Divergence metric being minimized.
     pub metric: Metric,
@@ -46,9 +46,6 @@ pub struct SystemConfig {
     /// Seed for simulation-side randomness (phases, tie-breaking); the
     /// workload carries its own seed.
     pub sim_seed: u64,
-    /// §9: per-object maximum divergence rates, required by
-    /// [`PolicyKind::Bound`].
-    pub bound_rates: Option<Vec<f64>>,
     /// Simulated-world fault profile. `None` (the default) skips the
     /// fault machinery entirely: that path is bit-identical to the
     /// pre-fault tree and is what every golden pins.
@@ -72,7 +69,6 @@ impl Default for SystemConfig {
             warmup: 100.0,
             measure: 500.0,
             sim_seed: 0,
-            bound_rates: None,
             fault: None,
         }
     }

@@ -23,6 +23,7 @@ use besync_workloads::WorkloadSpec;
 use crate::config::SystemConfig;
 use crate::fault::{FaultSummary, LossLane};
 use crate::kernel::{Handler, Kernel};
+use crate::priority::PolicyKind;
 use crate::report::RunReport;
 use crate::source::SourceRuntime;
 
@@ -60,6 +61,7 @@ impl IdealSystem {
     pub fn new(cfg: SystemConfig, mut spec: WorkloadSpec) -> Self {
         let kernel = Kernel::new(&cfg, &mut spec, 0, 0.0);
         let layout = spec.layout;
+        let bound_rates = (cfg.policy == PolicyKind::Bound).then(|| spec.rates.clone());
         let all = SourceRuntime::new(
             SourceId(0),
             0,
@@ -71,7 +73,7 @@ impl IdealSystem {
             cfg.metric,
             cfg.policy,
             cfg.estimator,
-            cfg.bound_rates.clone(),
+            bound_rates,
             SimTime::ZERO,
         );
         let sched = Omniscient {

@@ -39,6 +39,7 @@ use crate::fault::{
     EpisodeLane, EpisodeSchedule, FaultProfile, FaultSummary, LossLane, RecoveryPolicy,
 };
 use crate::kernel::{Handler, Kernel};
+use crate::priority::PolicyKind;
 use crate::report::RunReport;
 use crate::source::{Snapshot, SourceRuntime};
 
@@ -164,9 +165,9 @@ impl CoopSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the workload spec is internally inconsistent or if
-    /// `bound_rates` is required/mismatched (see
-    /// [`crate::priority::PolicyKind::Bound`]).
+    /// Panics if the workload spec is internally inconsistent. Under
+    /// [`crate::priority::PolicyKind::Bound`] each object's divergence-rate
+    /// bound is its workload rate.
     pub fn new(cfg: SystemConfig, spec: WorkloadSpec) -> Self {
         Self::with_extension(cfg, spec, Plain)
     }
@@ -230,7 +231,7 @@ impl<X: Extension> System<X> {
             let base = sid * layout.objects_per_source();
             let lo = base as usize;
             let hi = lo + layout.objects_per_source() as usize;
-            let bound_rates = cfg.bound_rates.as_ref().map(|all| all[lo..hi].to_vec());
+            let bound_rates = (cfg.policy == PolicyKind::Bound).then(|| rate_pool[lo..].to_vec());
             sources.push(SourceRuntime::new(
                 SourceId(sid),
                 base,
@@ -718,9 +719,13 @@ impl<X: Extension> Protocol<X> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::priority::PolicyKind;
+    use crate::cache::FeedbackTargeting;
+    use crate::priority::RateEstimator;
+    use crate::IdealSystem;
     use besync_data::{Metric, WeightProfile};
-    use besync_workloads::generators::{random_walk_poisson, PoissonWorkloadOptions};
+    use besync_workloads::generators::{
+        fig6_workload, random_walk_poisson, PoissonWorkloadOptions,
+    };
 
     /// `sources × n` random-walk objects with unit weights and update
     /// rates drawn from `[0.05, max_rate]`.
@@ -1141,5 +1146,115 @@ mod tests {
         );
         assert_eq!(plain.refreshes_sent, idle.refreshes_sent);
         assert!(!idle.faults.any());
+    }
+
+    #[test]
+    fn ideal_lower_bounds_the_pragmatic_algorithm() {
+        for seed in [1, 2, 3] {
+            for bw in [5.0, 20.0, 60.0] {
+                let ideal = IdealSystem::new(long_cfg(bw, 10.0), poisson(5, 10, 0.8, seed)).run();
+                let ours = CoopSystem::new(long_cfg(bw, 10.0), poisson(5, 10, 0.8, seed)).run();
+                assert!(
+                    ours.mean_divergence() + 0.02 >= ideal.mean_divergence(),
+                    "seed {seed} bw {bw}: ours {} below ideal {}",
+                    ours.mean_divergence(),
+                    ideal.mean_divergence()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn identical_workload_across_schedulers() {
+        // Update sequences are driven by per-object RNG streams, so both
+        // schedulers must observe exactly the same number of updates.
+        let a = IdealSystem::new(long_cfg(10.0, 5.0), poisson(4, 8, 0.8, 9)).run();
+        let b = CoopSystem::new(long_cfg(10.0, 5.0), poisson(4, 8, 0.8, 9)).run();
+        assert_eq!(a.updates_processed, b.updates_processed);
+    }
+
+    #[test]
+    fn positive_feedback_avoids_flooding_under_bandwidth_cliff() {
+        // Plentiful source bandwidth + starved cache link: negative-feedback
+        // designs flood here; the §5 design must keep the queue bounded.
+        let mut c = long_cfg(1.0, 100.0);
+        c.measure = 500.0;
+        let report = CoopSystem::new(c, poisson(10, 10, 0.8, 4)).run();
+        assert!(
+            report.max_cache_queue < 150,
+            "cache queue peaked at {} — flooding",
+            report.max_cache_queue
+        );
+        // Thresholds must have risen to throttle the sources.
+        assert!(report.threshold_stats.mean() > 1.0);
+    }
+
+    #[test]
+    fn feedback_fills_surplus_bandwidth() {
+        // Over-provisioned cache: feedback should flow and thresholds drop,
+        // pushing refreshes through and divergence toward zero.
+        let report = CoopSystem::new(long_cfg(500.0, 100.0), poisson(5, 10, 0.8, 5)).run();
+        assert!(report.feedback_messages > 0);
+        assert!(
+            report.mean_divergence() < 0.1,
+            "divergence {} despite surplus",
+            report.mean_divergence()
+        );
+    }
+
+    #[test]
+    fn all_feedback_targeting_policies_work() {
+        for targeting in [
+            FeedbackTargeting::HighestThreshold,
+            FeedbackTargeting::RoundRobin,
+            FeedbackTargeting::Random,
+        ] {
+            let mut c = long_cfg(20.0, 10.0);
+            c.feedback_targeting = targeting;
+            let r = CoopSystem::new(c, poisson(5, 10, 0.8, 8)).run();
+            assert!(r.mean_divergence().is_finite());
+            assert!(r.refreshes_delivered > 0);
+        }
+    }
+
+    #[test]
+    fn closed_form_policy_with_estimators() {
+        for estimator in [
+            RateEstimator::Known,
+            RateEstimator::LongRun,
+            RateEstimator::SinceRefresh,
+        ] {
+            let mut c = long_cfg(15.0, 8.0);
+            c.policy = PolicyKind::PoissonClosedForm;
+            c.estimator = estimator;
+            let r = CoopSystem::new(c, fig6_workload(5, 10, 11)).run();
+            assert!(
+                r.mean_divergence() < 0.9,
+                "{estimator:?}: divergence {}",
+                r.mean_divergence()
+            );
+        }
+    }
+
+    #[test]
+    fn bound_policy_runs_in_both_systems() {
+        let s = poisson(3, 5, 0.8, 13);
+        let mut c = long_cfg(5.0, 3.0);
+        c.policy = PolicyKind::Bound;
+        let coop = CoopSystem::new(c, s.clone()).run();
+        let ideal = IdealSystem::new(c, s).run();
+        assert!(coop.refreshes_sent > 0);
+        assert!(ideal.refreshes_sent > 0);
+    }
+
+    #[test]
+    fn lag_metric_accounts_queued_snapshots() {
+        // Tight cache link → messages queue → snapshots arrive stale → lag
+        // divergence stays positive even right after refreshes.
+        let mut c = long_cfg(2.0, 50.0);
+        c.metric = Metric::Lag;
+        let r = CoopSystem::new(c, poisson(5, 10, 0.8, 14)).run();
+        assert!(r.mean_queue_wait >= 0.0);
+        assert!(r.divergence.mean_unweighted > 0.0);
     }
 }

@@ -13,7 +13,7 @@
 use besync::priority::PolicyKind;
 use besync::RunReport;
 use besync_data::Metric;
-use besync_scenarios::{ScenarioSpec, SystemKind, WorkloadKind};
+use besync_scenarios::{ScenarioSpec, SystemKind};
 use besync_sweep::{sweep, SweepError, SweepOptions};
 
 use crate::output::{fnum, Row};
@@ -154,25 +154,23 @@ fn cells_for(g: &Grid) -> Vec<Cell> {
 /// The two specs a cell compares, in reply order: ideal then coop.
 fn cell_specs(cell: Cell, measure: f64, seed: u64) -> [ScenarioSpec; 2] {
     let (metric, m, n, bs, bc, mb) = cell;
-    let scenario = |system: SystemKind| ScenarioSpec {
-        name: format!("fig4/{}/m{m}/n{n}/bs{bs}/bc{bc}/mb{mb}", metric.name()),
-        seed: seed ^ ((m as u64) << 32 | (n as u64) << 16),
-        system,
-        workload: WorkloadKind::Poisson {
-            sources: m,
-            objects_per_source: n,
-            rate_range: (0.02, 1.0),
-            weight_range: (1.0, 10.0),
-            fluctuating_weights: true,
-        },
-        policy: PolicyKind::Area,
-        metric,
-        cache_bandwidth_mean: bc,
-        source_bandwidth_mean: bs,
-        bandwidth_change_rate: mb,
-        warmup: measure * 0.2,
-        measure,
-        ..ScenarioSpec::default()
+    let scenario = |system: SystemKind| {
+        ScenarioSpec::builder(format!(
+            "fig4/{}/m{m}/n{n}/bs{bs}/bc{bc}/mb{mb}",
+            metric.name()
+        ))
+        .seed(seed ^ ((m as u64) << 32 | (n as u64) << 16))
+        .system(system)
+        .objects(m, n)
+        .rate_range(0.02, 1.0)
+        .weight_range(1.0, 10.0)
+        .fluctuating_weights(true)
+        .policy(PolicyKind::Area)
+        .metric(metric)
+        .bandwidth(bc, bs)
+        .bandwidth_change_rate(mb)
+        .window(measure * 0.2, measure)
+        .finish()
     };
     [scenario(SystemKind::Ideal), scenario(SystemKind::Coop)]
 }

@@ -11,7 +11,7 @@
 
 use besync::priority::PolicyKind;
 use besync_data::Metric;
-use besync_scenarios::{ScenarioSpec, SystemKind, WorkloadKind};
+use besync_scenarios::{ScenarioSpec, SystemKind};
 use besync_sweep::{sweep, SweepError, SweepOptions};
 use besync_workloads::buoy::BuoyConfig;
 
@@ -95,22 +95,20 @@ pub fn run_with(mode: Mode, seed: u64, opts: &SweepOptions) -> Result<Vec<Fig5Ro
     }
     let mut specs = Vec::with_capacity(points.len() * 2);
     for &(regime, mb, bw) in &points {
-        let scenario = |system: SystemKind| ScenarioSpec {
-            name: format!("fig5/{regime}/bw{bw}"),
-            seed,
-            system,
-            workload: WorkloadKind::Buoy { config: buoy_cfg },
-            policy: PolicyKind::Area,
-            metric: Metric::abs_deviation(),
-            // Messages per minute → per second. Buoys transmit at most
-            // one measurement per sample anyway; the satellite link is
-            // the binding constraint (§6.2.1).
-            cache_bandwidth_mean: bw / 60.0,
-            source_bandwidth_mean: 1.0,
-            bandwidth_change_rate: mb,
-            warmup,
-            measure: duration - warmup,
-            ..ScenarioSpec::default()
+        let scenario = |system: SystemKind| {
+            ScenarioSpec::builder(format!("fig5/{regime}/bw{bw}"))
+                .seed(seed)
+                .system(system)
+                .buoy(buoy_cfg)
+                .policy(PolicyKind::Area)
+                .metric(Metric::abs_deviation())
+                // Messages per minute → per second. Buoys transmit at most
+                // one measurement per sample anyway; the satellite link is
+                // the binding constraint (§6.2.1).
+                .bandwidth(bw / 60.0, 1.0)
+                .bandwidth_change_rate(mb)
+                .window(warmup, duration - warmup)
+                .finish()
         };
         specs.push(scenario(SystemKind::Ideal));
         specs.push(scenario(SystemKind::Coop));

@@ -19,7 +19,7 @@ use besync::priority::{PolicyKind, RateEstimator};
 use besync::RunReport;
 use besync_baselines::CgmVariant;
 use besync_data::Metric;
-use besync_scenarios::{ScenarioSpec, SystemKind, WorkloadKind};
+use besync_scenarios::{ScenarioSpec, SystemKind};
 use besync_sweep::{sweep, SweepError, SweepOptions};
 
 use crate::output::{fnum, Row};
@@ -147,38 +147,30 @@ fn point_specs(m: u32, n: u32, fraction: f64, measure: f64, seed: u64) -> [Scena
     let wl_seed = seed ^ ((m as u64) << 24);
     // §6.3 workload: Poisson rates in (0.02, 1.0), unit weights (the CGM
     // comparison is unweighted staleness) — `fig6_workload`'s regime.
-    let workload = WorkloadKind::Poisson {
-        sources: m,
-        objects_per_source: n,
-        rate_range: (0.02, 1.0),
-        weight_range: (1.0, 1.0),
-        fluctuating_weights: false,
-    };
-
+    //
     // The CGM polling model assumes unconstrained source-side bandwidth,
     // so the cooperative systems get the same for a fair comparison
     // (§6.3: "we only placed a limitation on cache-side bandwidth").
-    let coop = |system: SystemKind, estimator: RateEstimator| ScenarioSpec {
-        name: format!("fig6/{}/m{m}/f{fraction}", system.name()),
-        seed: wl_seed,
-        system,
-        workload,
-        policy: PolicyKind::PoissonClosedForm,
-        estimator,
-        metric: Metric::Staleness,
-        cache_bandwidth_mean: bandwidth,
-        source_bandwidth_mean: 1e9,
-        warmup,
-        measure,
-        ..ScenarioSpec::default()
+    // They keep the default simulation seed 0; the pollers take `seed`.
+    let spec = |system: SystemKind, estimator: RateEstimator, sim_seed: u64| {
+        ScenarioSpec::builder(format!("fig6/{}/m{m}/f{fraction}", system.name()))
+            .seeds(wl_seed, sim_seed)
+            .system(system)
+            .objects(m, n)
+            .rate_range(0.02, 1.0)
+            .weight_range(1.0, 1.0)
+            .fluctuating_weights(false)
+            .policy(PolicyKind::PoissonClosedForm)
+            .estimator(estimator)
+            .metric(Metric::Staleness)
+            .bandwidth(bandwidth, 1e9)
+            .window(warmup, measure)
+            .finish()
     };
-    let cgm = |variant: CgmVariant| ScenarioSpec {
-        sim_seed: seed,
-        ..coop(SystemKind::Cgm(variant), RateEstimator::LongRun)
-    };
+    let cgm = |variant: CgmVariant| spec(SystemKind::Cgm(variant), RateEstimator::LongRun, seed);
     [
-        coop(SystemKind::Ideal, RateEstimator::Known),
-        coop(SystemKind::Coop, RateEstimator::LongRun),
+        spec(SystemKind::Ideal, RateEstimator::Known, 0),
+        spec(SystemKind::Coop, RateEstimator::LongRun, 0),
         cgm(CgmVariant::IdealCacheBased),
         cgm(CgmVariant::Cgm1),
         cgm(CgmVariant::Cgm2),

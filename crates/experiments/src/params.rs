@@ -8,7 +8,7 @@
 //! more frequent than decreases (per feedback).
 
 use besync_data::Metric;
-use besync_scenarios::{ScenarioSpec, SystemKind, WorkloadKind};
+use besync_scenarios::{ScenarioSpec, SystemKind};
 use besync_sweep::{sweep, SweepError, SweepOptions};
 
 use crate::output::{fnum, Row};
@@ -111,26 +111,20 @@ pub fn run_with(mode: Mode, seed: u64, opts: &SweepOptions) -> Result<Vec<ParamR
     let total_objects = (sources * objects) as f64;
     let specs: Vec<ScenarioSpec> = cells
         .iter()
-        .map(|&(alpha, omega, metric)| ScenarioSpec {
-            name: format!("params/a{alpha}/w{omega}/{}", metric.name()),
-            seed,
-            system: SystemKind::Coop,
-            workload: WorkloadKind::Poisson {
-                sources,
-                objects_per_source: objects,
-                rate_range: (0.02, 1.0),
-                weight_range: (1.0, 10.0),
-                fluctuating_weights: true,
-            },
-            metric,
-            alpha,
-            omega,
-            cache_bandwidth_mean: 0.3 * total_objects,
-            source_bandwidth_mean: (0.6 * objects as f64).max(2.0),
-            bandwidth_change_rate: 0.05,
-            warmup: measure * 0.2,
-            measure,
-            ..ScenarioSpec::default()
+        .map(|&(alpha, omega, metric)| {
+            ScenarioSpec::builder(format!("params/a{alpha}/w{omega}/{}", metric.name()))
+                .seed(seed)
+                .system(SystemKind::Coop)
+                .objects(sources, objects)
+                .rate_range(0.02, 1.0)
+                .weight_range(1.0, 10.0)
+                .fluctuating_weights(true)
+                .metric(metric)
+                .thresholds(alpha, omega)
+                .bandwidth(0.3 * total_objects, (0.6 * objects as f64).max(2.0))
+                .bandwidth_change_rate(0.05)
+                .window(measure * 0.2, measure)
+                .finish()
         })
         .collect();
     let outcomes = sweep(&specs, opts)?.into_outcomes();

@@ -15,9 +15,11 @@
 //! a visitor that writes each field, the decoders with one that
 //! overwrites it, the property tests with one that fills it from random
 //! draws — so none of them can disagree about a key, a width or a
-//! condition. The rule for growing the schema: **a new field = the struct
-//! field plus one line in the walk** (both walks destructure
-//! exhaustively, so the struct field alone does not compile).
+//! condition. The rule for growing the schema: **a new run parameter is a
+//! [`SystemConfig`] field, its default, and one line in the walk**; a
+//! new report field is the struct field plus one line in its walk (both
+//! walks destructure exhaustively, so the struct field alone does not
+//! compile).
 //!
 //! Limitations, by design: [`Metric::Deviation`] carries a function
 //! pointer and encodes as `deviation`, which decodes to the standard
@@ -29,6 +31,7 @@ use std::fmt::Write;
 use std::str::FromStr;
 
 use besync::cache::partition::SharePolicy;
+use besync::config::SystemConfig;
 use besync::fault::{FaultProfile, RecoveryPolicy};
 use besync::priority::{PolicyKind, RateEstimator};
 use besync::report::Slot;
@@ -133,6 +136,7 @@ fn put(out: &mut String, key: &str, field: Field<'_>) -> Result<(), String> {
         Field::U64(v) => write!(out, "{key} {v}"),
         Field::U32(v) => write!(out, "{key} {v}"),
         Field::Usize(v) => write!(out, "{key} {v}"),
+        Field::F64(v) if !v.is_finite() => return Err(format!("`{key}` is {v}, not finite")),
         Field::F64(v) => write!(out, "{key} {v}"),
         Field::Exact(v) => write!(out, "{key} {}", fmt_f64(*v)),
         Field::Bool(v) | Field::Flag(v) => write!(out, "{key} {v}"),
@@ -192,7 +196,12 @@ fn take(pairs: &[(&str, &str)], key: &str, field: Field<'_>) -> Result<(), Strin
         Field::U64(v) => *v = parse(text, "integer", key)?,
         Field::U32(v) => *v = parse(text, "integer", key)?,
         Field::Usize(v) => *v = parse(text, "integer", key)?,
-        Field::F64(v) => *v = parse(text, "number", key)?,
+        Field::F64(v) => {
+            *v = parse(text, "number", key)?;
+            if !v.is_finite() {
+                return Err(format!("bad number in `{key}`"));
+            }
+        }
         Field::Exact(v) => *v = parse_f64(text).ok_or_else(|| format!("bad number in `{key}`"))?,
         Field::Bool(v) | Field::Flag(v) => *v = parse(text, "boolean", key)?,
         Field::Choice { names, index } => *index = spelled(names)?,
@@ -239,6 +248,12 @@ fn word<T: Copy + PartialEq, const N: usize>(
 /// (workload arm, fault profile, Ψ partition) under conditions every
 /// visitor meets alike.
 ///
+/// The spec's [`SystemConfig`] is destructured exhaustively, so a new
+/// config field does not compile until it gets a wire line here or an
+/// explicit off-wire entry (`tick`, `initial_threshold` and
+/// `feedback_targeting` are off the wire: [`ScenarioSpec::check`] holds
+/// them at their defaults).
+///
 /// # Errors
 ///
 /// Stops at, and returns, the first error `visit` returns.
@@ -251,9 +266,14 @@ pub fn walk_spec(
         name,
         description,
         seed,
-        sim_seed,
         system,
         workload,
+        config,
+        psi,
+        share,
+    } = spec;
+    let SystemConfig {
+        sim_seed,
         policy,
         estimator,
         metric,
@@ -265,9 +285,10 @@ pub fn walk_spec(
         warmup,
         measure,
         fault,
-        psi,
-        share,
-    } = spec;
+        tick: _,
+        initial_threshold: _,
+        feedback_targeting: _,
+    } = config;
     visit("name", Field::Text(name))?;
     visit("description", Field::Text(description))?;
     visit("seed", Field::U64(seed))?;
@@ -433,7 +454,8 @@ pub fn encode(spec: &ScenarioSpec) -> Result<String, String> {
 pub fn decode(text: &str) -> Result<ScenarioSpec, String> {
     let pairs = pairs(text, HEADER)?;
     // Fields the walk does not visit keep these defaults: no fault
-    // profile, and outside §7 `psi = 0` with the piggyback share.
+    // profile, outside §7 `psi = 0` with the piggyback share, and the
+    // off-wire run parameters.
     let mut spec = ScenarioSpec::default();
     walk_spec(&mut spec, |key, field| take(&pairs, key, field))?;
     spec.check()?;
@@ -534,16 +556,11 @@ mod tests {
 
     #[test]
     fn buoy_workloads_round_trip() {
-        use crate::spec::ScenarioSpec;
-        let spec = ScenarioSpec {
-            name: "buoy_test".into(),
-            description: "fig5-style scenario".into(),
-            workload: WorkloadKind::Buoy {
-                config: BuoyConfig::quick(),
-            },
-            metric: Metric::abs_deviation(),
-            ..ScenarioSpec::default()
-        };
+        let spec = ScenarioSpec::builder("buoy_test")
+            .description("fig5-style scenario")
+            .buoy(BuoyConfig::quick())
+            .metric(Metric::abs_deviation())
+            .finish();
         let text = encode(&spec).unwrap();
         let back = decode(&text).unwrap();
         assert_eq!(text, encode(&back).unwrap());
@@ -556,10 +573,8 @@ mod tests {
     #[test]
     fn custom_deviation_functions_refuse_to_encode() {
         use besync_data::metric::squared_deviation;
-        let spec = ScenarioSpec {
-            metric: Metric::Deviation(squared_deviation),
-            ..by_name("small").unwrap()
-        };
+        let mut spec = by_name("small").unwrap();
+        spec.metric = Metric::Deviation(squared_deviation);
         assert!(encode(&spec).is_err());
     }
 
@@ -572,6 +587,17 @@ mod tests {
         assert!(err.contains("measure"), "{err}");
         let mangled = text.replace("cache_bandwidth_mean ", "cache_bandwidth_mean x");
         assert!(decode(&mangled).is_err());
+        // Parameters are finite in both directions: Rust parses `NaN` and
+        // `inf`, and the run would panic or report NaN on them.
+        for bad in ["NaN", "inf", "-inf", "1e999"] {
+            let mangled = replace_field_value(&text, "cache_bandwidth_mean", bad);
+            let err = decode(&mangled).unwrap_err();
+            assert_eq!(err, "bad number in `cache_bandwidth_mean`", "{bad}");
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = put(&mut String::new(), "alpha", Field::F64(&mut { bad })).unwrap_err();
+            assert!(err.contains("`alpha`"), "{err}");
+        }
         // Booleans are as strict as numbers: a corrupted flag must fail,
         // not silently decode to false.
         let bad_bool = text.replace("fluctuating_weights false", "fluctuating_weights fals");
@@ -748,6 +774,37 @@ mod tests {
             .join("\n")
     }
 
+    /// `tick`, `initial_threshold` and `feedback_targeting` have no wire
+    /// line, so a spec must keep their defaults to run the same on both
+    /// sides of a pipe.
+    #[test]
+    fn off_wire_parameters_must_keep_their_defaults() {
+        use besync::cache::FeedbackTargeting;
+        type Edit = fn(&mut SystemConfig);
+        let cases: [(&str, Edit); 3] = [
+            ("tick", |c| c.tick = 0.5),
+            ("initial_threshold", |c| c.initial_threshold = 2.0),
+            ("feedback_targeting", |c| {
+                c.feedback_targeting = FeedbackTargeting::RoundRobin
+            }),
+        ];
+        for (field, edit) in cases {
+            let mut spec = by_name("small").unwrap();
+            edit(&mut spec);
+            let needle = format!("`{field}`");
+            let refused = spec.check().unwrap_err();
+            assert!(refused.contains(&needle), "{refused}");
+            assert_eq!(encode(&spec).unwrap_err(), refused);
+        }
+    }
+
+    /// The `small` scenario under `fault`.
+    fn small_with_fault(fault: FaultProfile) -> ScenarioSpec {
+        let mut spec = by_name("small").unwrap();
+        spec.fault = Some(fault);
+        spec
+    }
+
     #[test]
     fn fault_profiles_round_trip_for_every_recovery_kind() {
         for recovery in [
@@ -755,19 +812,16 @@ mod tests {
             RecoveryPolicy::Retransmit { deadline: 2.5 },
             RecoveryPolicy::Resync,
         ] {
-            let spec = ScenarioSpec {
-                fault: Some(FaultProfile {
-                    loss_prob: 0.125,
-                    outage_rate: 0.01,
-                    outage_duration: 7.5,
-                    outage_drops_queue: true,
-                    crash_rate: 0.002,
-                    crash_downtime: 30.0,
-                    recovery,
-                    aware: false,
-                }),
-                ..by_name("small").unwrap()
-            };
+            let spec = small_with_fault(FaultProfile {
+                loss_prob: 0.125,
+                outage_rate: 0.01,
+                outage_duration: 7.5,
+                outage_drops_queue: true,
+                crash_rate: 0.002,
+                crash_downtime: 30.0,
+                recovery,
+                aware: false,
+            });
             let text = encode(&spec).unwrap();
             let back = decode(&text).unwrap();
             assert_eq!(text, encode(&back).unwrap(), "{}", recovery.kind_name());
@@ -777,15 +831,12 @@ mod tests {
             assert!(!text.contains("fault_aware"), "{text}");
         }
         // The aware flag round-trips when set.
-        let aware_spec = ScenarioSpec {
-            fault: Some(FaultProfile {
-                loss_prob: 0.25,
-                recovery: RecoveryPolicy::Retransmit { deadline: 4.0 },
-                aware: true,
-                ..FaultProfile::default()
-            }),
-            ..by_name("small").unwrap()
-        };
+        let aware_spec = small_with_fault(FaultProfile {
+            loss_prob: 0.25,
+            recovery: RecoveryPolicy::Retransmit { deadline: 4.0 },
+            aware: true,
+            ..FaultProfile::default()
+        });
         let text = encode(&aware_spec).unwrap();
         assert!(text.contains("fault_aware true"), "{text}");
         let back = decode(&text).unwrap();
@@ -805,13 +856,10 @@ mod tests {
 
     #[test]
     fn unknown_or_invalid_fault_blocks_are_rejected() {
-        let spec = ScenarioSpec {
-            fault: Some(FaultProfile {
-                loss_prob: 0.1,
-                ..FaultProfile::default()
-            }),
-            ..by_name("small").unwrap()
-        };
+        let spec = small_with_fault(FaultProfile {
+            loss_prob: 0.1,
+            ..FaultProfile::default()
+        });
         let text = encode(&spec).unwrap();
         // An unknown recovery kind must fail loudly, not decode to some
         // other regime.
@@ -836,10 +884,8 @@ mod tests {
             let back = decode(&lossy).expect("loss alone is modelled");
             let err = decode(&replace_field_value(&outage, "system", system)).unwrap_err();
             assert!(err.contains(kind) && err.contains("`outage_rate`"), "{err}");
-            let unrunnable = ScenarioSpec {
-                fault: decode(&outage).unwrap().fault,
-                ..back
-            };
+            let mut unrunnable = back;
+            unrunnable.fault = decode(&outage).unwrap().fault;
             assert_eq!(encode(&unrunnable).unwrap_err(), err);
         }
     }

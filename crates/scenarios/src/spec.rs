@@ -1,5 +1,7 @@
 //! The declarative scenario spec and its lowering.
 
+use std::ops::{Deref, DerefMut};
+
 use besync::cache::partition::{BandwidthPartition, SharePolicy};
 use besync::competitive::CompetitiveSystem;
 use besync::config::SystemConfig;
@@ -83,10 +85,9 @@ pub enum WorkloadKind {
 
 /// One fully-described simulation scenario.
 ///
-/// A plain-data value; lowering it (see [`ScenarioSpec::build`]) goes
-/// through exactly the same construction calls every consumer used
-/// before this layer existed, so specs are trajectory-preserving by
-/// construction.
+/// A plain-data value: the workload side, which scheduler runs it, and
+/// the [`SystemConfig`] every system kind is built from. The spec derefs
+/// to its config, so `spec.warmup` reads the run parameter itself.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Registry name (the key of both records and of [`crate::by_name`]).
@@ -95,39 +96,13 @@ pub struct ScenarioSpec {
     pub description: String,
     /// Workload seed: drives parameter draws and per-object update RNG.
     pub seed: u64,
-    /// Simulation-side seed (bandwidth-wave phases, tie-breaking).
-    pub sim_seed: u64,
     /// Which scheduler runs the scenario.
     pub system: SystemKind,
     /// The workload family and its regime.
     pub workload: WorkloadKind,
-    /// Source-side refresh priority policy (cooperative systems).
-    pub policy: PolicyKind,
-    /// How sources estimate Poisson rates for closed-form policies.
-    pub estimator: RateEstimator,
-    /// Divergence metric being minimized.
-    pub metric: Metric,
-    /// Average cache-side bandwidth `B_C` (messages/second).
-    pub cache_bandwidth_mean: f64,
-    /// Average per-source bandwidth `B_S` (messages/second; unused by
-    /// CGM, whose polling model has no source-side limit).
-    pub source_bandwidth_mean: f64,
-    /// The paper's `m_B`: peak relative bandwidth change rate. `0` keeps
-    /// both links constant; `> 0` makes cache and source links fluctuate
-    /// as independently-phased sine waves.
-    pub bandwidth_change_rate: f64,
-    /// Threshold increase factor α.
-    pub alpha: f64,
-    /// Threshold decrease factor ω.
-    pub omega: f64,
-    /// Warm-up duration excluded from measurement (seconds).
-    pub warmup: f64,
-    /// Measured duration after warm-up (seconds).
-    pub measure: f64,
-    /// Simulated-world fault profile (refresh loss, link outages, source
-    /// crashes). `None` — the default — runs the fault-free path, which
-    /// is bit-identical to the pre-fault tree.
-    pub fault: Option<FaultProfile>,
+    /// The run parameters: metric, policy, bandwidths, α/ω, window,
+    /// simulation seed and fault profile.
+    pub config: SystemConfig,
     /// §7 only: the Ψ fraction of cache bandwidth dedicated to source
     /// priorities. Ignored by every other [`SystemKind`].
     pub psi: f64,
@@ -136,16 +111,11 @@ pub struct ScenarioSpec {
 }
 
 impl Default for ScenarioSpec {
-    /// Takes every run parameter from `SystemConfig::default()`, so a
-    /// struct-update spec lowers to the same config a bare
-    /// `..SystemConfig::default()` produced.
     fn default() -> Self {
-        let run = SystemConfig::default();
         ScenarioSpec {
             name: String::new(),
             description: String::new(),
             seed: 0,
-            sim_seed: run.sim_seed,
             system: SystemKind::Coop,
             workload: WorkloadKind::Poisson {
                 sources: 10,
@@ -154,20 +124,24 @@ impl Default for ScenarioSpec {
                 weight_range: (1.0, 10.0),
                 fluctuating_weights: true,
             },
-            policy: run.policy,
-            estimator: run.estimator,
-            metric: run.metric,
-            cache_bandwidth_mean: run.cache_bandwidth_mean,
-            source_bandwidth_mean: run.source_bandwidth_mean,
-            bandwidth_change_rate: run.bandwidth_change_rate,
-            alpha: run.alpha,
-            omega: run.omega,
-            warmup: run.warmup,
-            measure: run.measure,
-            fault: run.fault,
+            config: SystemConfig::default(),
             psi: 0.0,
             share: SharePolicy::ProportionalToValue,
         }
+    }
+}
+
+impl Deref for ScenarioSpec {
+    type Target = SystemConfig;
+
+    fn deref(&self) -> &SystemConfig {
+        &self.config
+    }
+}
+
+impl DerefMut for ScenarioSpec {
+    fn deref_mut(&mut self) -> &mut SystemConfig {
+        &mut self.config
     }
 }
 
@@ -242,10 +216,13 @@ impl ScenarioSpecBuilder {
 
     /// Poisson-family object layout: `sources × objects_per_source`.
     pub fn objects(mut self, sources: u32, objects_per_source: u32) -> Self {
-        {
-            let (s, o) = self.poisson_layout();
-            *s = sources;
-            *o = objects_per_source;
+        match &mut self.spec.workload {
+            WorkloadKind::Poisson {
+                sources: s,
+                objects_per_source: o,
+                ..
+            } => (*s, *o) = (sources, objects_per_source),
+            WorkloadKind::Buoy { .. } => panic!("objects() requires the Poisson workload"),
         }
         self
     }
@@ -353,17 +330,6 @@ impl ScenarioSpecBuilder {
     pub fn finish(self) -> ScenarioSpec {
         self.spec
     }
-
-    fn poisson_layout(&mut self) -> (&mut u32, &mut u32) {
-        match &mut self.spec.workload {
-            WorkloadKind::Poisson {
-                sources,
-                objects_per_source,
-                ..
-            } => (sources, objects_per_source),
-            WorkloadKind::Buoy { .. } => panic!("objects() requires the Poisson workload"),
-        }
-    }
 }
 
 impl ScenarioSpec {
@@ -412,24 +378,9 @@ impl ScenarioSpec {
         }
     }
 
-    /// Lowers the system side to the [`SystemConfig`] every system kind
-    /// is built from.
+    /// The [`SystemConfig`] every system kind is built from.
     pub fn system_config(&self) -> SystemConfig {
-        SystemConfig {
-            metric: self.metric,
-            policy: self.policy,
-            estimator: self.estimator,
-            cache_bandwidth_mean: self.cache_bandwidth_mean,
-            source_bandwidth_mean: self.source_bandwidth_mean,
-            bandwidth_change_rate: self.bandwidth_change_rate,
-            alpha: self.alpha,
-            omega: self.omega,
-            warmup: self.warmup,
-            measure: self.measure,
-            sim_seed: self.sim_seed,
-            fault: self.fault,
-            ..SystemConfig::default()
-        }
+        self.config
     }
 
     /// Whether the scenario's system can run it, asked at the boundaries
@@ -438,8 +389,10 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// A run parameter is outside what the simulation accepts (the
-    /// message names the field); the system is competitive and Ψ is not in
+    /// A run parameter is outside what the simulation accepts, or one
+    /// the codec does not carry (`tick`, `initial_threshold`,
+    /// `feedback_targeting`) is not at its default (the message names the
+    /// field); the system is competitive and Ψ is not in
     /// `[0, 1)` or the policy is not `area` (§7 derives both priority
     /// views from the area tracker); or the fault profile is invalid, or
     /// the system is an ideal or CGM scheduler — which model refresh loss
@@ -472,9 +425,11 @@ impl ScenarioSpec {
                 }
                 positive("sample_interval", config.sample_interval)?;
                 positive("duration", config.duration)?;
-                if !config.duration.is_finite() {
-                    return Err("`duration` must be finite".into());
+                at_least("reversion", config.reversion, 0.0)?;
+                if config.reversion > 1.0 {
+                    return Err(format!("`reversion` is {}, must be <= 1", config.reversion));
                 }
+                at_least("noise", config.noise, 0.0)?;
             }
         }
         at_least("cache_bandwidth_mean", self.cache_bandwidth_mean, 0.0)?;
@@ -486,6 +441,23 @@ impl ScenarioSpec {
         at_least("measure", self.measure, 0.0)?;
         if !(self.warmup + self.measure).is_finite() {
             return Err("`warmup` + `measure` must be finite".into());
+        }
+        // Not on the wire: any other value would run one way in-process
+        // and another way through a sweep worker.
+        let run = SystemConfig::default();
+        let off_wire = [
+            ("tick", self.tick != run.tick),
+            (
+                "initial_threshold",
+                self.initial_threshold != run.initial_threshold,
+            ),
+            (
+                "feedback_targeting",
+                self.feedback_targeting != run.feedback_targeting,
+            ),
+        ];
+        if let Some((field, _)) = off_wire.iter().find(|(_, moved)| *moved) {
+            return Err(format!("`{field}` is off the wire; keep its default"));
         }
         if self.system == SystemKind::Competitive {
             if !(0.0..1.0).contains(&self.psi) {
@@ -521,12 +493,7 @@ impl ScenarioSpec {
     ///
     /// Panics on a scenario [`check`](Self::check) refuses.
     pub fn build_from(&self, spec: WorkloadSpec) -> ReadySystem {
-        let mut cfg = self.system_config();
-        if self.policy == PolicyKind::Bound {
-            // Bound pricing needs per-object refresh-rate bounds; the
-            // workload's true rates are the natural seeded choice.
-            cfg.bound_rates = Some(spec.rates.clone());
-        }
+        let cfg = self.config;
         let partition = || BandwidthPartition::new(self.psi, self.share);
         match self.system {
             SystemKind::Coop => ReadySystem::Coop(Box::new(CoopSystem::new(cfg, spec))),
@@ -564,20 +531,21 @@ impl ScenarioSpec {
     }
 }
 
-/// Refuses `v` below `min` (NaN included), naming the field.
+/// Refuses `v` below `min` or not finite (NaN, ±∞), naming the field.
 fn at_least(field: &str, v: f64, min: f64) -> Result<(), String> {
-    if v >= min {
+    if v >= min && v.is_finite() {
         Ok(())
     } else {
-        Err(format!("`{field}` is {v}, must be >= {min}"))
+        Err(format!("`{field}` is {v}, must be finite and >= {min}"))
     }
 }
 
+/// Refuses `v` not above zero or not finite, naming the field.
 fn positive(field: &str, v: f64) -> Result<(), String> {
-    if v > 0.0 {
+    if v > 0.0 && v.is_finite() {
         Ok(())
     } else {
-        Err(format!("`{field}` is {v}, must be > 0"))
+        Err(format!("`{field}` is {v}, must be finite and > 0"))
     }
 }
 
@@ -597,10 +565,13 @@ mod tests {
                 weight_range: (1.0, 4.0),
                 fluctuating_weights: false,
             },
-            cache_bandwidth_mean: 6.0,
-            source_bandwidth_mean: 3.0,
-            warmup: 5.0,
-            measure: 40.0,
+            config: SystemConfig {
+                cache_bandwidth_mean: 6.0,
+                source_bandwidth_mean: 3.0,
+                warmup: 5.0,
+                measure: 40.0,
+                ..SystemConfig::default()
+            },
             ..ScenarioSpec::default()
         }
     }
@@ -633,10 +604,7 @@ mod tests {
             ),
         )
         .run();
-        assert_eq!(by_spec.updates_processed, by_hand.updates_processed);
-        assert_eq!(by_spec.refreshes_sent, by_hand.refreshes_sent);
-        assert_eq!(by_spec.feedback_messages, by_hand.feedback_messages);
-        assert_eq!(by_spec.mean_divergence(), by_hand.mean_divergence());
+        assert_eq!(by_spec.first_difference(&by_hand), None);
     }
 
     #[test]
@@ -667,11 +635,10 @@ mod tests {
         // high) or the threshold pool alone keeps every object fresh and
         // the own-priority heaps are empty whenever piggyback tries to
         // spend.
-        let constrained = |psi: f64| ScenarioSpec {
-            cache_bandwidth_mean: 1.5,
-            psi,
-            share: SharePolicy::ProportionalToValue,
-            ..tiny(SystemKind::Competitive)
+        let constrained = |psi: f64| {
+            let mut spec = tiny(SystemKind::Competitive);
+            spec.cache_bandwidth_mean = 1.5;
+            ScenarioSpec { psi, ..spec }
         };
         let zero = constrained(0.0).run();
         let half = constrained(0.5).run();
@@ -686,13 +653,11 @@ mod tests {
 
     #[test]
     fn bound_policy_gets_workload_rates() {
-        // Builds without panicking (the Bound policy requires bound_rates)
-        // and produces a run, for each kind that prices with a policy.
+        // Builds without panicking (the Bound policy requires bound rates,
+        // which the systems take from the workload) and produces a run, for each kind that prices with a policy.
         for system in [SystemKind::Coop, SystemKind::Ideal] {
-            let spec = ScenarioSpec {
-                policy: PolicyKind::Bound,
-                ..tiny(system)
-            };
+            let mut spec = tiny(system);
+            spec.policy = PolicyKind::Bound;
             spec.check().unwrap();
             let report = spec.run();
             assert!(report.updates_processed > 0, "{}", system.name());
@@ -724,20 +689,11 @@ mod tests {
             .window(5.0, 40.0)
             .finish();
         let literal = tiny(SystemKind::Coop);
-        assert_eq!(built.name, literal.name);
-        assert_eq!(built.seed, literal.seed);
-        assert_eq!(built.sim_seed, literal.sim_seed);
-        assert_eq!(built.workload, literal.workload);
-        assert_eq!(built.cache_bandwidth_mean, literal.cache_bandwidth_mean);
-        assert_eq!(built.source_bandwidth_mean, literal.source_bandwidth_mean);
-        assert_eq!(
-            (built.warmup, built.measure),
-            (literal.warmup, literal.measure)
-        );
+        // Every wire field, the run parameters included, bit for bit.
+        let wire = |spec: &ScenarioSpec| crate::codec::encode(spec).unwrap();
+        assert_eq!(wire(&built), wire(&literal));
         // Same spec ⇒ same trajectory.
-        let (a, b) = (built.run(), literal.run());
-        assert_eq!(a.updates_processed, b.updates_processed);
-        assert_eq!(a.mean_divergence().to_bits(), b.mean_divergence().to_bits());
+        assert_eq!(built.run().first_difference(&literal.run()), None);
     }
 
     #[test]
@@ -807,7 +763,7 @@ mod tests {
     #[test]
     fn check_refuses_what_the_run_would_panic_on() {
         type Edit = fn(ScenarioSpecBuilder) -> ScenarioSpecBuilder;
-        let cases: [(&str, Edit); 25] = [
+        let cases: [(&str, Edit); 26] = [
             ("psi", |b| b.competitive(1.0, SharePolicy::EqualShare)),
             ("psi", |b| b.competitive(f64::NAN, SharePolicy::EqualShare)),
             ("alpha", |b| b.thresholds(0.5, 10.0)),
@@ -824,6 +780,7 @@ mod tests {
             ("objects_per_source", |b| b.objects(1 << 16, 1 << 16)),
             ("rate_lo", |b| b.rate_range(0.0, 0.5)),
             ("rate_hi", |b| b.rate_range(0.5, 0.05)),
+            ("rate_hi", |b| b.rate_range(0.05, f64::INFINITY)),
             ("weight_lo", |b| b.weight_range(-1.0, 4.0)),
             ("weight_hi", |b| b.weight_range(4.0, 1.0)),
             ("buoys", |b| buoy(b, |c| c.buoys = 0)),
@@ -847,6 +804,39 @@ mod tests {
             assert!(refused.contains(&format!("`{field}`")), "{refused}");
             let ran = std::panic::catch_unwind(|| spec.run());
             assert!(ran.is_err(), "`{field}`: the refusal is needed");
+        }
+    }
+
+    /// Buoy statistics outside the ranges `BuoyConfig` documents: `check`
+    /// refuses each, naming the field. The NaN ones would not panic but
+    /// run to a NaN divergence.
+    #[test]
+    fn check_refuses_buoy_statistics_outside_their_ranges() {
+        type Edit = fn(&mut BuoyConfig);
+        let nan: [(&str, Edit); 2] = [
+            ("reversion", |c| c.reversion = f64::NAN),
+            ("noise", |c| c.noise = f64::NAN),
+        ];
+        let out_of_range: [(&str, Edit); 3] = [
+            ("reversion", |c| c.reversion = -0.1),
+            ("reversion", |c| c.reversion = 1.5),
+            ("noise", |c| c.noise = -1.0),
+        ];
+        let edited = |edit: Edit| {
+            let mut spec = crate::by_name("buoy_week").unwrap().quick();
+            match &mut spec.workload {
+                WorkloadKind::Buoy { config } => edit(config),
+                WorkloadKind::Poisson { .. } => unreachable!("buoy_week is a buoy scenario"),
+            }
+            spec
+        };
+        for (field, edit) in nan.into_iter().chain(out_of_range) {
+            let refused = edited(edit).check().expect_err(field);
+            assert!(refused.contains(&format!("`{field}`")), "{refused}");
+        }
+        for (field, edit) in nan {
+            let divergence = edited(edit).run().mean_divergence();
+            assert!(divergence.is_nan(), "`{field}`: the refusal is needed");
         }
     }
 

@@ -579,9 +579,8 @@ mod tests {
         use besync_sim::Wave;
         let s = by_name("fluct_bw_medium").unwrap();
         assert!(s.bandwidth_change_rate > 0.0);
-        let cfg = s.system_config();
-        assert!(matches!(cfg.cache_wave(), Wave::Sine { .. }));
-        assert!(matches!(cfg.source_wave(0), Wave::Sine { .. }));
+        assert!(matches!(s.cache_wave(), Wave::Sine { .. }));
+        assert!(matches!(s.source_wave(0), Wave::Sine { .. }));
     }
 
     #[test]

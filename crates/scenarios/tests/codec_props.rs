@@ -56,12 +56,20 @@ const DRAWS: std::ops::Range<usize> = 40..41;
 /// Run parameters inside `ScenarioSpec::check`'s envelope: drawn from
 /// `(0, 1)`, from `[1, ∞)` (so each range's high end is above its low
 /// end), and from `[0, ∞)`.
-const LOW: [&str; 5] = ["psi", "rate_lo", "weight_lo", "sample_interval", "duration"];
+const LOW: [&str; 6] = [
+    "psi",
+    "rate_lo",
+    "weight_lo",
+    "sample_interval",
+    "duration",
+    "reversion",
+];
 const AT_LEAST_ONE: [&str; 4] = ["alpha", "omega", "rate_hi", "weight_hi"];
-const NON_NEGATIVE: [&str; 3] = [
+const NON_NEGATIVE: [&str; 4] = [
     "cache_bandwidth_mean",
     "source_bandwidth_mean",
     "bandwidth_change_rate",
+    "noise",
 ];
 
 /// Random scenarios, filled through the codec's own field walk so a new

@@ -37,7 +37,7 @@ fn main() {
     };
 
     println!("running the cooperative threshold algorithm (paper §5)...");
-    let ours = CoopSystem::new(cfg.clone(), workload()).run();
+    let ours = CoopSystem::new(cfg, workload()).run();
 
     println!("running the omniscient ideal scheduler (paper §3.3)...");
     let ideal = IdealSystem::new(cfg, workload()).run();

@@ -37,7 +37,7 @@ fn main() {
             measure: fleet.duration - 86_400.0,
             ..SystemConfig::default()
         };
-        let ideal = IdealSystem::new(cfg.clone(), buoy::workload(&fleet, 7)).run();
+        let ideal = IdealSystem::new(cfg, buoy::workload(&fleet, 7)).run();
         let ours = CoopSystem::new(cfg, buoy::workload(&fleet, 7)).run();
         println!(
             "{:>17}    {:>7.4}    {:>13.4}   {:>9}",

@@ -59,7 +59,7 @@ fn main() {
         };
         // The crawler runs under the same conditions; it ignores the
         // sources' policy and bandwidth.
-        let ours = CoopSystem::new(cfg.clone(), crawl_workload(9)).run();
+        let ours = CoopSystem::new(cfg, crawl_workload(9)).run();
         let cgm = CgmSystem::new(CgmVariant::Cgm1, cfg, crawl_workload(9)).run();
 
         let coop_d = ours.mean_weighted_divergence();

@@ -92,8 +92,8 @@ proptest! {
             measure: 120.0,
             ..SystemConfig::default()
         };
-        let ideal = IdealSystem::new(cfg.clone(), mk()).run();
-        let ours_a = CoopSystem::new(cfg.clone(), mk()).run();
+        let ideal = IdealSystem::new(cfg, mk()).run();
+        let ours_a = CoopSystem::new(cfg, mk()).run();
         let ours_b = CoopSystem::new(cfg, mk()).run();
         prop_assert!(ours_a.mean_divergence() + 0.05 >= ideal.mean_divergence(),
             "coop {} beat ideal {} beyond tolerance",
